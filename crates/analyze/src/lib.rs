@@ -81,14 +81,13 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// `gmlfm-serve` files on the request scoring/retrieval hot path (its
 /// offline freezing half is allowed to be assertive about model shape).
-const SERVE_HOT_PATH: [&str; 7] = [
+const SERVE_HOT_PATH: [&str; 6] = [
     "crates/serve/src/frozen.rs",
     "crates/serve/src/rank.rs",
     "crates/serve/src/topn.rs",
     "crates/serve/src/index.rs",
     "crates/serve/src/batch.rs",
     "crates/serve/src/kernel.rs",
-    "crates/serve/src/lowp.rs",
 ];
 
 /// `gmlfm-net` files on the serving hot path: the frame codec, the
@@ -273,6 +272,16 @@ mod tests {
         assert!(scope_for("crates/online/src/log.rs").no_hash_collections);
         assert!(scope_for("crates/online/src/trainer.rs").ordering_justification);
         assert!(!scope_for("crates/online/src/handle.rs").ordering_justification);
+    }
+
+    #[test]
+    fn every_hot_path_scope_entry_exists() {
+        // The scopes filter files found on disk, so a deleted or renamed
+        // entry would silently drop out of panic-freedom coverage.
+        let root = workspace_root();
+        for rel in SERVE_HOT_PATH.iter().chain(&NET_HOT_PATH).chain(&ONLINE_HOT_PATH) {
+            assert!(root.join(rel).is_file(), "hot-path scope entry {rel} does not exist");
+        }
     }
 
     #[test]

@@ -38,12 +38,8 @@
 //! Next to the index section sits the **scoring-kernel** section
 //! (`BENCH_kernel.json`, sizes via `GMLFM_BENCH_KERNEL_ITEMS`): the
 //! pre-kernel scalar accumulation vs the chunked block scan the serving
-//! path now uses, plus the low-precision tables — `f32` approximate
-//! full scan and `i8` probe + exact `f64` re-rank — as whole-catalogue
-//! top-10 requests at 100k/1M items and 1/2/4 threads. Accuracy is
-//! measured, not assumed: `f32` max-abs-error against exact scores,
-//! recall@10 for every approximate path over a fixed user panel, and
-//! every `i8`-path score asserted bitwise the exact ranker's.
+//! path now uses, as whole-catalogue top-10 requests at 100k/1M items
+//! and 1/2/4 threads.
 //!
 //! A fifth section drives the **network transport** end to end: the
 //! same `ModelServer` behind a loopback `gmlfm-net` TCP server, hit by
@@ -84,8 +80,8 @@ use gmlfm_net::{run_closed_loop, ClientConfig, NetRequest, NetServer, ServerConf
 use gmlfm_online::{OnlineConfig, OnlineServing};
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{
-    rank_cmp, scan_top_n_prec, score_chunked_par, sharded_top_n, sharded_top_n_blocks, Freeze, FrozenModel,
-    ItemFeatureSource, IvfBuildOptions, IvfIndex, Precision,
+    rank_cmp, score_chunked_par, sharded_top_n, sharded_top_n_blocks, Freeze, FrozenModel, ItemFeatureSource,
+    IvfBuildOptions, IvfIndex,
 };
 use gmlfm_service::{
     BatchRequest, Catalog, IndexedModel, Interaction, ModelServer, ModelSnapshot, Request, ScoreRequest,
@@ -452,15 +448,7 @@ fn main() {
             let template = catalog.template(user).expect("bench user in range");
             let exact = model.select_top_n(&catalog, template, &candidates, ann_n, Parallelism::auto());
             let ivf = backend
-                .select_top_n_indexed(
-                    &catalog,
-                    template,
-                    ann_n,
-                    None,
-                    &[],
-                    Precision::F64,
-                    Parallelism::auto(),
-                )
+                .select_top_n_indexed(&catalog, template, ann_n, None, &[], Parallelism::auto())
                 .expect("whole-catalogue request above min_candidates is index-eligible");
             for (item, score) in &ivf {
                 if let Some((_, exact_score)) = exact.iter().find(|(e, _)| e == item) {
@@ -479,7 +467,7 @@ fn main() {
             let ivf_rps = throughput(1, || {
                 std::hint::black_box(
                     backend
-                        .select_top_n_indexed(&catalog, bench_template, ann_n, None, &[], Precision::F64, par)
+                        .select_top_n_indexed(&catalog, bench_template, ann_n, None, &[], par)
                         .expect("index-eligible request"),
                 );
             });
@@ -513,23 +501,18 @@ fn main() {
     std::fs::write(ann_path, &ann_json).expect("write BENCH_ann.json");
     println!("\nwrote {ann_path}:\n{ann_json}");
 
-    // -- 7b. scoring kernels: scalar vs chunked vs f32 vs i8 -----------
+    // -- 7b. scoring kernels: scalar vs chunked -----------------------
     // The hot-loop restructure measured head to head. Scalar is the
     // pre-kernel per-item accumulation (`score_scalar`); chunked is the
     // block scan serving requests now take (`score_block` through
-    // `sharded_top_n_blocks`); f32 and i8 are the low-precision table
-    // scans (`scan_top_n_prec`), where i8 probes quantized and re-ranks
-    // exactly so its returned scores stay bitwise the model's. The i8
-    // IVF probe (quantized scan inside the cluster probe) is measured
-    // for recall at the index's default nprobe, with the same bitwise
-    // score assertion. Model and catalogue mirror the index section.
+    // `sharded_top_n_blocks`). Model and catalogue mirror the index
+    // section.
     let kernel_sizes: Vec<usize> = std::env::var("GMLFM_BENCH_KERNEL_ITEMS")
         .ok()
         .map(|raw| raw.split(',').filter_map(|v| v.trim().parse().ok()).collect())
         .filter(|sizes: &Vec<usize>| !sizes.is_empty())
         .unwrap_or_else(|| vec![100_000, 1_000_000]);
     let kernel_n = 10usize;
-    let kernel_users: Vec<u32> = (0..32).collect();
     let mut kernel_entries: Vec<String> = Vec::new();
     for &size in &kernel_sizes {
         let dataset = generate_scale(&ScaleConfig::new(128, size, seed.wrapping_add(9)));
@@ -537,105 +520,14 @@ fn main() {
         let catalog = Catalog::from_dataset(&dataset, &mask);
         let item_field = dataset.schema.field_of_kind(FieldKind::Item).expect("item field");
         let item_off = dataset.schema.offset(item_field);
-        // One `with_precision` call builds both the f32 and i8 tables;
-        // the same model serves every precision below.
         let model = FrozenModel::synthetic_metric_damped(
             dataset.schema.total_dim(),
             8,
             seed.wrapping_add(10),
             item_off..item_off + size,
             0.5,
-        )
-        .with_precision(Precision::I8);
-        let candidates: Vec<u32> = (0..size as u32).collect();
-        let index = IvfIndex::build(&model, &catalog, &IvfBuildOptions::default(), Parallelism::auto())
-            .expect("weighted squared-Euclidean metric model is indexable");
-        let nprobe = index.default_nprobe();
-        // Accuracy panel first: recall@10 against the exact top-10 per
-        // user, f32 max-abs-error, and the i8 bitwise-score contract.
-        let mut f32_hits = 0usize;
-        let mut i8_hits = 0usize;
-        let mut ivf_hits = 0usize;
-        let mut f32_max_err = 0.0f64;
-        for &user in &kernel_users {
-            let template = catalog.template(user).expect("bench user in range");
-            let exact = model.select_top_n(&catalog, template, &candidates, kernel_n, Parallelism::auto());
-            let mut exact_ranker = model.ranker(template, catalog.item_slots());
-            let shards = NonZeroUsize::new(4).expect("nonzero");
-            let f32_top = scan_top_n_prec(
-                &model,
-                &catalog,
-                &candidates,
-                template,
-                catalog.item_slots(),
-                kernel_n,
-                Precision::F32,
-                shards,
-                Parallelism::auto(),
-            )
-            .expect("f32 tables built");
-            for (item, score) in &f32_top {
-                let want = exact_ranker.score(catalog.features_of(*item));
-                f32_max_err = f32_max_err.max((score - want).abs());
-                if exact.iter().any(|(e, _)| e == item) {
-                    f32_hits += 1;
-                }
-            }
-            let i8_top = scan_top_n_prec(
-                &model,
-                &catalog,
-                &candidates,
-                template,
-                catalog.item_slots(),
-                kernel_n,
-                Precision::I8,
-                shards,
-                Parallelism::auto(),
-            )
-            .expect("i8 tables built");
-            for (item, score) in &i8_top {
-                let want = exact_ranker.score(catalog.features_of(*item));
-                assert_eq!(
-                    score.to_bits(),
-                    want.to_bits(),
-                    "i8 re-rank must return the exact score for item {item}"
-                );
-                if exact.iter().any(|(e, _)| e == item) {
-                    i8_hits += 1;
-                }
-            }
-            let ivf_top = index.search_prec(
-                &model,
-                &catalog,
-                template,
-                catalog.item_slots(),
-                kernel_n,
-                nprobe,
-                Parallelism::auto(),
-                &|_| false,
-                Precision::I8,
-            );
-            for (item, score) in &ivf_top {
-                let want = exact_ranker.score(catalog.features_of(*item));
-                assert_eq!(
-                    score.to_bits(),
-                    want.to_bits(),
-                    "i8 IVF probe must return the exact score for item {item}"
-                );
-                if exact.iter().any(|(e, _)| e == item) {
-                    ivf_hits += 1;
-                }
-            }
-        }
-        let denom = (kernel_users.len() * kernel_n) as f64;
-        let f32_recall = f32_hits as f64 / denom;
-        let i8_recall = i8_hits as f64 / denom;
-        let ivf_recall = ivf_hits as f64 / denom;
-        println!(
-            "kernel_accuracy items={size:>8}: f32 recall@10 {f32_recall:.3} (max abs err {f32_max_err:.2e}), \
-             i8 full-scan recall@10 {i8_recall:.3}, i8 ivf probe recall@10 {ivf_recall:.3} \
-             (all i8 scores bitwise exact)"
         );
+        let candidates: Vec<u32> = (0..size as u32).collect();
         let bench_template = catalog.template(7).expect("bench user in range");
         for t in THREADS {
             let par = Parallelism::threads(t);
@@ -660,65 +552,25 @@ fn main() {
                     |ranker, ids, out| ranker.score_block(&catalog, ids, out),
                 ));
             });
-            let f32_rps = throughput(1, || {
-                std::hint::black_box(
-                    scan_top_n_prec(
-                        &model,
-                        &catalog,
-                        &candidates,
-                        bench_template,
-                        catalog.item_slots(),
-                        kernel_n,
-                        Precision::F32,
-                        shards,
-                        par,
-                    )
-                    .expect("f32 tables built"),
-                );
-            });
-            let i8_rps = throughput(1, || {
-                std::hint::black_box(
-                    scan_top_n_prec(
-                        &model,
-                        &catalog,
-                        &candidates,
-                        bench_template,
-                        catalog.item_slots(),
-                        kernel_n,
-                        Precision::I8,
-                        shards,
-                        par,
-                    )
-                    .expect("i8 tables built"),
-                );
-            });
             let chunked_speedup = chunked_rps / scalar_rps;
             println!(
                 "kernel_topn     items={size:>8} n={kernel_n:<4} threads={t}: \
-                 scalar {scalar_rps:>7.2} req/s, chunked {chunked_rps:>7.2} req/s ({chunked_speedup:.2}x), \
-                 f32 {f32_rps:>7.2} req/s, i8 {i8_rps:>7.2} req/s"
+                 scalar {scalar_rps:>7.2} req/s, chunked {chunked_rps:>7.2} req/s ({chunked_speedup:.2}x)"
             );
             kernel_entries.push(format!(
                 "{{\"n_items\": {size}, \"n\": {kernel_n}, \"threads\": {t}, \
                  \"scalar_rps\": {scalar_rps:.3}, \"chunked_rps\": {chunked_rps:.3}, \
-                 \"chunked_speedup\": {chunked_speedup:.3}, \
-                 \"f32_rps\": {f32_rps:.3}, \"i8_rps\": {i8_rps:.3}, \
-                 \"f32_recall_at_10\": {f32_recall:.4}, \"f32_max_abs_err\": {f32_max_err:.3e}, \
-                 \"i8_recall_at_10\": {i8_recall:.4}, \"i8_ivf_recall_at_10\": {ivf_recall:.4}, \
-                 \"i8_ivf_nprobe\": {nprobe}}}"
+                 \"chunked_speedup\": {chunked_speedup:.3}}}"
             ));
         }
     }
     let kernel_json = format!(
         "{{\n  \"available_parallelism\": {cores},\n  \"seed\": {seed},\n  \
          \"note\": \"whole-catalogue top-10 requests/s, best of 3; scalar is the per-item serial \
-         accumulation, chunked is the block-kernel scan the serving path uses (bitwise-identical \
-         results), f32 is the approximate low-precision full scan, i8 probes quantized then re-ranks \
-         with the exact f64 ranker; every i8-path score asserted bitwise-equal to the model's, \
-         recall@10 and f32 max-abs-error measured against the exact top-10 over {users} users; \
-         model is synthetic_metric_damped as in the index section ({env_var} overrides sizes)\",\n  \
+         accumulation, chunked is the block-kernel scan the serving path uses (bitwise the per-item \
+         scan); model is synthetic_metric_damped as in the index section ({env_var} overrides \
+         sizes)\",\n  \
          \"entries\": [\n    {entries}\n  ]\n}}\n",
-        users = kernel_users.len(),
         env_var = "GMLFM_BENCH_KERNEL_ITEMS",
         entries = kernel_entries.join(",\n    "),
     );

@@ -25,18 +25,18 @@
 //!   assignments), so load → serve needs no index rebuild. v1/v2
 //!   artifacts still load (the `index` field decodes as absent, so
 //!   top-n requests serve through the exact sharded-heap path).
-//! * **v4** — adds the optional default scoring `precision`
-//!   ([`gmlfm_serve::Precision`] name: `"f64"` / `"f32"` / `"i8"`).
-//!   Only the *setting* is stored; the low-precision tables themselves
-//!   are rebuilt on load from the exact matrices, so artifacts don't
-//!   grow. v1–v3 artifacts still load (the field decodes as absent,
-//!   meaning exact `f64` serving — exactly their old behaviour).
+//! * **v4** — the body is v3's. Older v4 writers added an optional
+//!   `precision` member (`"f64"` / `"f32"` / `"i8"`) naming a narrowed
+//!   scan table to build on load. Those tables are retired: the writer
+//!   no longer emits the member, and the reader ignores it whatever its
+//!   value, so every v4 artifact serves the exact `f64` scores.
+//!   v1–v3 artifacts still load unchanged.
 
 use crate::error::EngineError;
 use crate::spec::{distance_from_name, distance_name, ModelSpec};
 use gmlfm_data::schema::Field;
 use gmlfm_data::{FieldKind, Schema};
-use gmlfm_serve::{FrozenModel, IvfIndex, Precision, SecondOrder};
+use gmlfm_serve::{FrozenModel, IvfIndex, SecondOrder};
 use gmlfm_service::{ModelSnapshot, SeenItems};
 use gmlfm_tensor::Matrix;
 use serde::json::{self, Value};
@@ -326,14 +326,12 @@ pub struct Artifact {
     pub seen: Option<SeenItems>,
     /// IVF retrieval index (v3+), rebuilt into a [`IvfIndex`] on load.
     pub(crate) index: Option<IndexRepr>,
-    /// Default scoring precision by [`Precision::name`] (v4+); the
-    /// low-precision tables are rebuilt on load, not stored.
-    pub(crate) precision: Option<String>,
 }
 
 // Hand-written (the derive requires every key): the `seen` field did not
-// exist before format version 2, nor `index` before 3, nor `precision`
-// before 4, so all decode as `None` when absent.
+// exist before format version 2, nor `index` before 3, so both decode
+// as `None` when absent. Unknown members, the retired v4 `precision`
+// among them, are ignored.
 impl Deserialize for Artifact {
     fn deserialize_json(v: &Value) -> Result<Self, json::Error> {
         fn optional<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, json::Error> {
@@ -351,7 +349,6 @@ impl Deserialize for Artifact {
             catalog: json::field(v, "catalog")?,
             seen: optional(v, "seen")?,
             index: optional(v, "index")?,
-            precision: optional(v, "precision")?,
         })
     }
 }
@@ -376,13 +373,6 @@ impl Artifact {
             catalog,
             seen,
             index: index.map(IndexRepr::from_index),
-            // The f64 default is omitted rather than written, keeping
-            // v4 artifacts of exact models byte-identical in spirit to
-            // v3 (and absent == "f64" on load either way).
-            precision: match frozen.precision() {
-                Precision::F64 => None,
-                p => Some(p.name().to_string()),
-            },
         }
     }
 
@@ -392,14 +382,9 @@ impl Artifact {
     /// [`gmlfm_service::ModelServer::swap`] for a zero-downtime model
     /// refresh.
     pub fn into_snapshot(self) -> Result<ModelSnapshot, EngineError> {
-        let precision = match &self.precision {
-            None => Precision::F64,
-            Some(name) => Precision::from_name(name)
-                .ok_or_else(|| EngineError::BadArtifact(format!("unknown precision '{name}'")))?,
-        };
         Ok(ModelSnapshot {
             schema: self.schema.into_schema()?,
-            frozen: self.frozen.into_frozen()?.with_precision(precision),
+            frozen: self.frozen.into_frozen()?,
             catalog: self.catalog,
             seen: self.seen,
             index: self.index.map(IndexRepr::into_index).transpose()?,

@@ -17,8 +17,7 @@
 //! 3. **[`Artifact`]** — a versioned JSON format (spec + schema + frozen
 //!    matrices + serving catalog) that [`Engine::load`] restores into a
 //!    servable [`Recommender`] without touching the autograd or training
-//!    crates, generalising `gmlfm_core`'s GML-FM-only persistence to
-//!    every freezable model.
+//!    crates, for every freezable model.
 //!
 //! ```
 //! use gmlfm_engine::{Engine, ModelSpec, SplitPlan};
@@ -51,10 +50,6 @@ pub use error::EngineError;
 pub use estimator::{Estimator, FitData};
 pub use pipeline::{Engine, EngineBuilder, Recommender, SplitPlan};
 pub use spec::ModelSpec;
-
-// The scoring-precision knob `EngineBuilder::precision` takes, so engine
-// users pick a table precision without a separate `gmlfm_serve` import.
-pub use gmlfm_serve::Precision;
 
 // The serving protocol the `Recommender` wrappers route through, so
 // engine users build requests without a separate `gmlfm_service` import.

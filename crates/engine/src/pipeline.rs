@@ -31,7 +31,7 @@ use gmlfm_eval::{evaluate_rating, evaluate_topn_backend, RatingMetrics, TopnMetr
 use gmlfm_net::{NetServer, ServerConfig as NetServerConfig};
 use gmlfm_online::{OnlineConfig, OnlineError, OnlineModel, OnlineServing};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex, Precision, RetrievalStrategy};
+use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex, RetrievalStrategy};
 use gmlfm_service::{
     exec, BatchRequest, ModelServer, ModelSnapshot, Reply, RequestError, Response, ScoreRequest,
     ScoringBackend, SeenItems, TopNRequest,
@@ -99,7 +99,6 @@ impl Engine {
             train: TrainConfig::default(),
             par: Parallelism::auto(),
             retrieval: RetrievalStrategy::Exact,
-            precision: Precision::F64,
             online: false,
         }
     }
@@ -125,7 +124,6 @@ pub struct EngineBuilder {
     train: TrainConfig,
     par: Parallelism,
     retrieval: RetrievalStrategy,
-    precision: Precision,
     online: bool,
 }
 
@@ -188,21 +186,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Default scoring-table precision of the frozen snapshot (defaults
-    /// to [`Precision::F64`]: exact scores, no extra tables). Lower
-    /// precisions build the `f32`/quantized `i8` tables at freeze time
-    /// and persist them with the model (artifact format v4 records the
-    /// setting; the tables themselves are rebuilt on load from the
-    /// exact matrices, so artifacts don't grow). Per-request
-    /// `TopNRequest::precision` overrides this default either way; see
-    /// [`Precision`] for the accuracy contract of each level. Models
-    /// without the metric linearisation have no low-precision form and
-    /// serve exactly regardless.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// Opts the fitted [`Recommender`] into online learning: the trained
     /// estimator and the base training instances are retained so
     /// [`Recommender::serve_online`] can warm-start retraining rounds
@@ -255,7 +238,6 @@ impl EngineBuilder {
         let schema = dataset.schema;
         let (serving, online) = match estimator.freeze_if_supported() {
             Some(frozen) => {
-                let frozen = frozen.with_precision(self.precision);
                 let index = match self.retrieval {
                     RetrievalStrategy::Exact => None,
                     RetrievalStrategy::Ivf { nprobe } => {

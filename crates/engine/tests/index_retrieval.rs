@@ -23,7 +23,7 @@ use gmlfm_engine::{Engine, ModelSpec, SplitPlan, TopNRequest};
 use gmlfm_models::fm::FmConfig;
 use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{rank_cmp, FrozenModel, IvfBuildOptions, IvfIndex, Precision, RetrievalStrategy};
+use gmlfm_serve::{rank_cmp, FrozenModel, IvfBuildOptions, IvfIndex, RetrievalStrategy};
 use gmlfm_service::{Catalog, IndexedModel, ModelServer, ModelSnapshot, ScoringBackend};
 use gmlfm_train::TrainConfig;
 use proptest::prelude::*;
@@ -160,7 +160,7 @@ proptest! {
             let backend = IndexedModel { frozen: &v.frozen, index: None };
             let template = f.catalog.template(0).expect("fixture has user 0");
             prop_assert!(backend
-                .select_top_n_indexed(&f.catalog, template, 10, None, &[], Precision::F64, Parallelism::serial())
+                .select_top_n_indexed(&f.catalog, template, 10, None, &[], Parallelism::serial())
                 .is_none());
             return Ok(());
         };
@@ -177,7 +177,6 @@ proptest! {
                     n,
                     Some(index.n_clusters()),
                     &[],
-                    Precision::F64,
                     Parallelism::threads(threads),
                 )
                 .expect("eligible whole-catalogue request takes the indexed path");
@@ -321,10 +320,9 @@ fn v2_artifacts_without_an_index_field_still_load() {
     let json = rec.artifact().expect("freezable").to_json();
     assert!(json.contains(",\"index\":null"), "Exact pipelines persist no index");
 
-    let v2 = json
-        .replacen("\"format_version\":4", "\"format_version\":2", 1)
-        .replacen(",\"index\":null", "", 1)
-        .replacen(",\"precision\":null", "", 1);
+    let v2 =
+        json.replacen("\"format_version\":4", "\"format_version\":2", 1)
+            .replacen(",\"index\":null", "", 1);
     assert!(!v2.contains("\"index\""), "index field must be gone from the v2 fixture");
     let legacy = Engine::load_json(&v2).expect("v2 artifacts still load");
     assert!(legacy.index().is_none(), "v2 artifacts carry no index");

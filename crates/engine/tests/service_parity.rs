@@ -225,8 +225,7 @@ fn seen_sets_persist_in_current_artifacts_and_v1_artifacts_still_load() {
     };
     let v1 = json
         .replacen("\"format_version\":4", "\"format_version\":1", 1)
-        .replacen(&seen_json, "", 1)
-        .replacen(",\"precision\":null", "", 1);
+        .replacen(&seen_json, "", 1);
     assert!(!v1.contains("\"seen\""), "seen field must be gone from the v1 fixture");
     let legacy = Engine::load_json(&v1).expect("v1 artifacts still load");
     assert!(legacy.seen().is_none());

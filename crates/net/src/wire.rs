@@ -18,9 +18,13 @@
 //! smaller shape. And one precision bound: generation stamps ride a
 //! JSON number, exact up to 2^53 — generations increment by 1 per
 //! hot swap, so the bound is unreachable in any real deployment.
+//!
+//! Unknown members are ignored, including the retired top-n
+//! `"precision"` member (`"f64"`, `"f32"` or `"i8"`): every top-n
+//! request is served by the exact f64 scan whatever its value.
 
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{Precision, RetrievalStrategy};
+use gmlfm_serve::RetrievalStrategy;
 use gmlfm_service::{
     BatchRequest, FeedAck, Interaction, Reply, Request, RequestError, ScoreRequest, TopNRequest,
 };
@@ -207,16 +211,6 @@ fn push_topn_fields(req: &TopNRequest, out: &mut String) {
     req.par.map(|p| p.get()).serialize_json(out);
     out.push_str(",\"strategy\":");
     push_strategy(&req.strategy, out);
-    out.push_str(",\"precision\":");
-    match req.precision {
-        None => out.push_str("null"),
-        // Precision names contain no JSON-escapable characters.
-        Some(p) => {
-            out.push('"');
-            out.push_str(p.name());
-            out.push('"');
-        }
-    }
 }
 
 fn push_request(req: &Request, out: &mut String) {
@@ -377,17 +371,6 @@ fn decode_strategy(v: &Value) -> Result<Option<RetrievalStrategy>, WireError> {
     }
 }
 
-fn decode_precision(v: &Value) -> Result<Option<Precision>, WireError> {
-    let Some(p) = v.get("precision") else { return Ok(None) };
-    if p.is_null() {
-        return Ok(None);
-    }
-    let name = String::deserialize_json(p).map_err(WireError::from)?;
-    Precision::from_name(&name)
-        .map(Some)
-        .ok_or_else(|| WireError::new(format!("unknown precision '{name}'")))
-}
-
 /// `Option<T>` deserialisation on a borrowed member (the derive-less
 /// equivalent of `json::field` for members that may be absent).
 trait OptionalMember: Sized {
@@ -433,7 +416,6 @@ fn decode_topn(v: &Value) -> Result<TopNRequest, WireError> {
         exclude_seen,
         par: decode_par(v)?,
         strategy: decode_strategy(v)?,
-        precision: decode_precision(v)?,
     })
 }
 
@@ -553,8 +535,6 @@ mod tests {
                     .parallelism(Parallelism::threads(2))
                     .strategy(RetrievalStrategy::Ivf { nprobe: Some(4) }),
             ),
-            NetRequest::TopN(TopNRequest::new(2, 5).precision(Precision::I8)),
-            NetRequest::TopN(TopNRequest::new(2, 5).precision(Precision::F32)),
             NetRequest::Batch(
                 BatchRequest::new(vec![
                     Request::Score(ScoreRequest::pair(0, 1)),
@@ -571,14 +551,13 @@ mod tests {
     }
 
     #[test]
-    fn unknown_precision_is_a_typed_error() {
-        let err = decode_request(br#"{"op":"topn","user":1,"n":2,"precision":"f16"}"#)
-            .expect_err("unknown precision name must not decode");
-        assert!(err.message.contains("precision"), "message: {}", err.message);
-        // Absent and null both mean "snapshot default".
+    fn retired_precision_member_is_ignored() {
         let absent = decode_request(br#"{"op":"topn","user":1,"n":2}"#).unwrap();
-        let null = decode_request(br#"{"op":"topn","user":1,"n":2,"precision":null}"#).unwrap();
-        assert_eq!(absent, null);
+        for value in ["null", "\"f64\"", "\"f32\"", "\"i8\"", "\"f16\""] {
+            let text = format!(r#"{{"op":"topn","user":1,"n":2,"precision":{value}}}"#);
+            let got = decode_request(text.as_bytes()).unwrap();
+            assert_eq!(got, absent, "precision {value}");
+        }
     }
 
     #[test]

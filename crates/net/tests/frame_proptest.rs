@@ -7,7 +7,7 @@
 use gmlfm_net::frame::{self, FrameError, HEADER_BYTES};
 use gmlfm_net::wire::{self, NetError, NetReply, NetRequest, NetResponse};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{Precision, RetrievalStrategy};
+use gmlfm_serve::RetrievalStrategy;
 use gmlfm_service::{BatchRequest, Request, ScoreRequest, TopNRequest};
 use proptest::collection::vec;
 use proptest::option;
@@ -33,26 +33,19 @@ fn arb_strategy() -> impl Strategy<Value = Option<RetrievalStrategy>> {
     ]
 }
 
-fn arb_precision() -> impl Strategy<Value = Option<Precision>> {
-    prop_oneof![Just(None), Just(Some(Precision::F64)), Just(Some(Precision::F32)), Just(Some(Precision::I8)),]
-}
-
 fn arb_topn() -> impl Strategy<Value = TopNRequest> {
     (
         (any::<u32>(), 0usize..1000, option::of(vec(any::<u32>(), 0..5))),
-        (vec(any::<u32>(), 0..4), any::<bool>(), option::of(1usize..16), arb_strategy(), arb_precision()),
+        (vec(any::<u32>(), 0..4), any::<bool>(), option::of(1usize..16), arb_strategy()),
     )
-        .prop_map(|((user, n, candidates), (exclude, exclude_seen, par, strategy, precision))| {
-            TopNRequest {
-                user,
-                n,
-                candidates,
-                exclude,
-                exclude_seen,
-                par: par.map(Parallelism::threads),
-                strategy,
-                precision,
-            }
+        .prop_map(|((user, n, candidates), (exclude, exclude_seen, par, strategy))| TopNRequest {
+            user,
+            n,
+            candidates,
+            exclude,
+            exclude_seen,
+            par: par.map(Parallelism::threads),
+            strategy,
         })
 }
 

@@ -32,7 +32,6 @@ use gmlfm_tensor::Matrix;
 use gmlfm_train::Scorer;
 
 use crate::kernel;
-use crate::lowp::{LowPrec, Precision};
 use crate::rank::TopNRanker;
 
 /// The packed `V̂`/`q` table: row `i` holds the transformed embedding
@@ -163,11 +162,6 @@ pub struct FrozenModel {
     pub(crate) v: Matrix,
     /// Second-order evaluation strategy.
     pub(crate) second: SecondOrder,
-    /// Low-precision candidate tables (f32 + i8), built on demand by
-    /// [`FrozenModel::with_precision`] and shared across clones.
-    pub(crate) lowp: Option<std::sync::Arc<LowPrec>>,
-    /// Default scan precision for top-N retrieval from this model.
-    pub(crate) precision: Precision,
 }
 
 impl FrozenModel {
@@ -187,45 +181,7 @@ impl FrozenModel {
             }
             SecondOrder::Dot => {}
         }
-        Self { w0, w, v, second, lowp: None, precision: Precision::F64 }
-    }
-
-    /// Sets the default top-N scan [`Precision`], building the
-    /// low-precision candidate tables when `precision` needs them.
-    ///
-    /// Tables only exist for the decoupled squared-Euclidean metric
-    /// form; for every other second-order strategy (plain dot FMs,
-    /// pairwise-only distances, TransFM) the requested precision is
-    /// remembered but scans silently stay exact f64. Once built, the
-    /// tables ride along behind an `Arc`, so a model frozen with
-    /// `Precision::F64` can still serve per-request `f32`/`i8`
-    /// overrides cheaply after one `with_precision` call.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        if precision != Precision::F64 && self.lowp.is_none() {
-            self.lowp = LowPrec::build(&self.v, &self.second);
-        }
-        self.precision = precision;
-        self
-    }
-
-    /// The default top-N scan precision (see [`FrozenModel::with_precision`]).
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// The low-precision table set, when built and supported.
-    pub(crate) fn lowp_tables(&self) -> Option<&LowPrec> {
-        self.lowp.as_deref()
-    }
-
-    /// The f32 packed scoring table, when built (bench/test introspection).
-    pub fn hat_q32(&self) -> Option<&crate::lowp::HatQ32> {
-        self.lowp.as_deref().map(|lp| &lp.hat32)
-    }
-
-    /// The i8-quantized scoring table, when built (bench/test introspection).
-    pub fn quant_hat(&self) -> Option<&crate::lowp::QuantHatQ> {
-        self.lowp.as_deref().map(|lp| &lp.qhat)
+        Self { w0, w, v, second }
     }
 
     /// Number of one-hot features `n`.

@@ -54,8 +54,6 @@
 //! them and callers fall back to the exact sharded-heap path.
 
 use crate::frozen::{dot, FrozenModel, HatQ, SecondOrder};
-use crate::lowp::Precision;
-use crate::rank::rerank_pool;
 #[allow(unused_imports)] // rustdoc links
 use crate::rank::TopNRanker;
 use crate::topn::{merge_sharded, TopNHeap};
@@ -644,37 +642,6 @@ impl IvfIndex {
         par: Parallelism,
         skip: &(impl Fn(u32) -> bool + Sync),
     ) -> Vec<(u32, f64)> {
-        self.search_prec(model, items, template, item_slots, n, nprobe, par, skip, Precision::F64)
-    }
-
-    /// [`IvfIndex::search`] with an explicit probe-scan [`Precision`].
-    ///
-    /// With `Precision::F32`/`Precision::I8` (and a model carrying the
-    /// low-precision tables), the member delta scan runs over the
-    /// narrowed tables into a [`rerank_pool`]-sized pool per shard, and
-    /// the pooled survivors are re-scored by the exact f64 ranker — so
-    /// returned scores are *always* bitwise the model's, whatever the
-    /// probe precision; only which items survive the probe is
-    /// approximate (measured as recall in `BENCH_kernel.json`). The
-    /// Cauchy–Schwarz bounds stay exact f64; they are compared against
-    /// the approximate pool threshold, which the [`rerank_pool`] margin
-    /// cushions (quantization bias in the threshold can still prune a
-    /// borderline true member — the residual recall gap vs the f64
-    /// probe). When the model has no tables for the requested
-    /// precision the scan silently runs exact.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_prec<S: ItemFeatureSource + ?Sized>(
-        &self,
-        model: &FrozenModel,
-        items: &S,
-        template: &[u32],
-        item_slots: &[usize],
-        n: usize,
-        nprobe: usize,
-        par: Parallelism,
-        skip: &(impl Fn(u32) -> bool + Sync),
-        precision: Precision,
-    ) -> Vec<(u32, f64)> {
         debug_assert!(self.compatible_with(model, items.item_count()).is_ok());
         if n == 0 || self.members.is_empty() {
             return Vec::new();
@@ -691,41 +658,6 @@ impl IvfIndex {
 
         let shards = par.get().clamp(1, probe.clusters.len().max(1));
         let ranges = gmlfm_par::block_ranges(probe.clusters.len(), shards);
-
-        let low_probe =
-            precision != Precision::F64 && model.low_ranker(template, item_slots, precision).is_some();
-        if low_probe {
-            let pool_n = rerank_pool(n);
-            let shard_tops = gmlfm_par::par_map(par, &ranges, |range| {
-                // Constructible by the `low_probe` check above.
-                let Some(mut low) = model.low_ranker(template, item_slots, precision) else {
-                    return Vec::new();
-                };
-                let mut heap = TopNHeap::new(pool_n);
-                for &(c, mean_score, ub) in &probe.clusters[range.clone()] {
-                    if let Some((_, threshold)) = heap.threshold() {
-                        if ctx_score + ub + bound_slack(ctx_score, ub) < threshold {
-                            continue;
-                        }
-                    }
-                    for (&item, &norm) in self.members[c].iter().zip(&self.member_norms[c]) {
-                        if skip(item) {
-                            continue;
-                        }
-                        if let Some((_, threshold)) = heap.threshold() {
-                            let item_ub = mean_score + probe.norm_g * norm;
-                            if ctx_score + item_ub + bound_slack(ctx_score, item_ub) < threshold {
-                                continue;
-                            }
-                        }
-                        heap.push(item, low.approx_score(items.features_of(item)));
-                    }
-                }
-                heap.into_sorted()
-            });
-            let pool = merge_sharded(pool_n, shard_tops);
-            return crate::topn::exact_rerank(model, items, pool, template, item_slots, n);
-        }
 
         let shard_tops = gmlfm_par::par_map(par, &ranges, |range| {
             let mut ranker = model.ranker(template, item_slots);

@@ -41,11 +41,6 @@ fn reduce(acc: [f64; LANES]) -> f64 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
-#[inline(always)]
-fn reduce_f32(acc: [f32; LANES]) -> f32 {
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-}
-
 /// Chunked dot product `Σ aᵢ·bᵢ` over the common prefix of `a` and `b`.
 ///
 /// For `len < LANES` this degenerates to the plain serial loop, so
@@ -105,56 +100,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
     for (x, y) in xt.iter().zip(yt) {
         *y += alpha * x;
-    }
-}
-
-/// f32 twin of [`dot`], used by the low-precision scan tables.
-#[inline]
-pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for l in 0..LANES {
-            acc[l] += xa[l] * xb[l];
-        }
-    }
-    let mut tail = 0.0f32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += x * y;
-    }
-    reduce_f32(acc) + tail
-}
-
-/// f32 twin of [`sq_dist`].
-#[inline]
-pub fn sq_dist_f32(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for l in 0..LANES {
-            let d = xa[l] - xb[l];
-            acc[l] += d * d;
-        }
-    }
-    let mut tail = 0.0f32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        let d = x - y;
-        tail += d * d;
-    }
-    reduce_f32(acc) + tail
-}
-
-/// Dequantizes one i8 row with per-row affine parameters into `out`:
-/// `out[d] = lo + scale·(code[d] + 128)`.
-///
-/// Codes span `[-128, 127]`, mapped onto `[lo, lo + 255·scale]`; the
-/// straight-line loop auto-vectorizes without manual chunking.
-#[inline]
-pub fn dequant_into(codes: &[i8], lo: f32, scale: f32, out: &mut [f32]) {
-    for (o, &c) in out.iter_mut().zip(codes) {
-        *o = lo + scale * (c as i32 + 128) as f32;
     }
 }
 
@@ -253,34 +198,5 @@ mod tests {
         let d = sq_dist(&a, &b);
         let exact = (a[5] - b[5]) * (a[5] - b[5]);
         assert!(d > 0.0 && (d - exact).abs() <= 1e-12 * exact, "d={d} exact={exact}");
-    }
-
-    #[test]
-    fn f32_kernels_match_f64_within_single_precision() {
-        for len in [1, 5, 8, 9, 40] {
-            let a = random_vec(len, 51);
-            let b = random_vec(len, 52);
-            let a32: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-            let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-            let scale = dot(&a, &a).abs().max(dot(&b, &b).abs()).max(1.0);
-            assert!((dot_f32(&a32, &b32) as f64 - dot(&a, &b)).abs() <= 1e-5 * scale);
-            assert!((sq_dist_f32(&a32, &b32) as f64 - sq_dist(&a, &b)).abs() <= 1e-5 * scale);
-        }
-    }
-
-    #[test]
-    fn dequant_reconstruction_error_is_at_most_half_a_step() {
-        let vals = random_vec(37, 61);
-        let (lo, hi) = vals.iter().fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
-        let scale = ((hi - lo) / 255.0).max(f64::MIN_POSITIVE);
-        let codes: Vec<i8> = vals
-            .iter()
-            .map(|&v| (((v - lo) / scale).round() as i32 - 128).clamp(-128, 127) as i8)
-            .collect();
-        let mut out = vec![0.0f32; vals.len()];
-        dequant_into(&codes, lo as f32, scale as f32, &mut out);
-        for (orig, deq) in vals.iter().zip(&out) {
-            assert!((orig - *deq as f64).abs() <= 0.5 * scale + 1e-6, "orig={orig} deq={deq} scale={scale}");
-        }
     }
 }

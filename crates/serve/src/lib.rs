@@ -43,7 +43,6 @@ pub mod freeze;
 pub mod frozen;
 pub mod index;
 pub mod kernel;
-pub mod lowp;
 pub mod rank;
 pub mod topn;
 
@@ -51,8 +50,5 @@ pub use batch::{score_chunked, score_chunked_par};
 pub use freeze::Freeze;
 pub use frozen::{FrozenModel, HatQ, SecondOrder};
 pub use index::{ItemFeatureSource, IvfBuildOptions, IvfIndex, RetrievalStrategy};
-pub use lowp::{HatQ32, Precision, QuantHatQ};
-pub use rank::{LowRanker, TopNRanker};
-pub use topn::{
-    exact_rerank, merge_sharded, rank_cmp, scan_top_n_prec, sharded_top_n, sharded_top_n_blocks, TopNHeap,
-};
+pub use rank::TopNRanker;
+pub use topn::{merge_sharded, rank_cmp, sharded_top_n, sharded_top_n_blocks, TopNHeap};

@@ -26,7 +26,6 @@
 use crate::frozen::{dot, FrozenModel, HatQ, SecondOrder};
 use crate::index::ItemFeatureSource;
 use crate::kernel;
-use crate::lowp::{LowPrec, Precision};
 use gmlfm_core::Distance;
 use gmlfm_tensor::Matrix;
 
@@ -721,214 +720,6 @@ fn group_pairs_tabled(model: &FrozenModel, scratch: &mut [f64], pairs: &[PairTab
             out
         }
         _ => model.second_order(feats),
-    }
-}
-
-/// Context-side partial sums for the low-precision scan, all narrowed
-/// to f32 once at construction.
-enum LowCross {
-    /// Unweighted decoupled form: `u + m·qⱼ − 2⟨s, v̂ⱼ⟩` in f32.
-    Unweighted { s: Vec<f32>, u: f32, m: f32 },
-    /// Weighted narrow-context form: per context feature `i`, the
-    /// precomputed `h ⊙ vᵢ` row, the `v̂ᵢ` row, and `qᵢ` — flattened
-    /// `|ctx| × k` row-major.
-    WeightedDirect { hv: Vec<f32>, vh: Vec<f32>, q: Vec<f32>, k: usize },
-    /// Weighted wide-context partials `a`, `b`, `C` (row-major `k × k`)
-    /// and the narrowed transformation weights.
-    Weighted { a: Vec<f32>, b: Vec<f32>, c: Vec<f32>, h: Vec<f32>, k: usize },
-}
-
-/// Where the candidate-side f32 rows come from.
-enum LowRows<'m> {
-    /// Straight reads from the f32 tables.
-    F32 { lp: &'m LowPrec },
-    /// Per-candidate dequantization of the i8 table into one scratch
-    /// row (`[v̂ⱼ | vⱼ]` when the table is paired).
-    I8 { lp: &'m LowPrec, scratch: Vec<f32> },
-}
-
-/// Low-precision candidate scanner: [`TopNRanker`] context state plus
-/// f32 (or dequantized-i8) candidate deltas.
-///
-/// `approx_score` keeps the context score, first-order weights, and
-/// within-group second-order term in f64 — only the context × candidate
-/// cross delta (the part that streams the big tables) is low precision.
-/// Build one with [`FrozenModel::low_ranker`]; construction fails
-/// (returns `None`) when the model carries no low-precision tables or
-/// its second-order form has no decoupled squared-Euclidean delta, in
-/// which case callers fall back to the exact f64 scan.
-pub struct LowRanker<'m> {
-    base: TopNRanker<'m>,
-    cross: LowCross,
-    rows: LowRows<'m>,
-}
-
-impl<'m> LowRanker<'m> {
-    fn new(base: TopNRanker<'m>, lp: &'m LowPrec, precision: Precision) -> Option<Self> {
-        let model = base.model;
-        let k = model.k();
-        let cross = match &model.second {
-            SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h } => {
-                if let Some(h) = h.as_deref() {
-                    if base.ctx.len() <= k {
-                        let mut hv = Vec::with_capacity(base.ctx.len() * k);
-                        let mut vh = Vec::with_capacity(base.ctx.len() * k);
-                        let mut q = Vec::with_capacity(base.ctx.len());
-                        for &i in &base.ctx {
-                            let vi = model.v.row(i as usize);
-                            hv.extend(h.iter().zip(vi).map(|(&hr, &vr)| (hr * vr) as f32));
-                            let (vhi, qi) = hat.row(i as usize);
-                            vh.extend(vhi.iter().map(|&x| x as f32));
-                            q.push(qi as f32);
-                        }
-                        LowCross::WeightedDirect { hv, vh, q, k }
-                    } else {
-                        let (a, b, c) = model.metric_partials(&base.ctx, hat);
-                        LowCross::Weighted {
-                            a: a.iter().map(|&x| x as f32).collect(),
-                            b: b.iter().map(|&x| x as f32).collect(),
-                            c: c.as_slice().iter().map(|&x| x as f32).collect(),
-                            h: lp.h32.clone().unwrap_or_else(|| h.iter().map(|&x| x as f32).collect()),
-                            k,
-                        }
-                    }
-                } else {
-                    let mut s = vec![0.0f64; k];
-                    let mut u = 0.0f64;
-                    for &i in &base.ctx {
-                        let (vhi, qi) = hat.row(i as usize);
-                        u += qi;
-                        for (slot, &x) in s.iter_mut().zip(vhi) {
-                            *slot += x;
-                        }
-                    }
-                    LowCross::Unweighted {
-                        s: s.iter().map(|&x| x as f32).collect(),
-                        u: u as f32,
-                        m: base.ctx.len() as f32,
-                    }
-                }
-            }
-            _ => return None,
-        };
-        let rows = match precision {
-            Precision::F64 => return None,
-            Precision::F32 => LowRows::F32 { lp },
-            Precision::I8 => LowRows::I8 { lp, scratch: vec![0.0f32; lp.qhat.row_width()] },
-        };
-        Some(Self { base, cross, rows })
-    }
-
-    /// Approximate score of one candidate: f64 context score and
-    /// first-order terms, f32 cross delta per item feature, exact f64
-    /// within-group second-order term.
-    pub fn approx_score(&mut self, item_feats: &[u32]) -> f64 {
-        assert_eq!(
-            item_feats.len(),
-            self.base.item_slots.len(),
-            "LowRanker::approx_score: candidate has {} features, template has {} item slots",
-            item_feats.len(),
-            self.base.item_slots.len()
-        );
-        let model = self.base.model;
-        let mut out = self.base.ctx_score;
-        for &f in item_feats {
-            out += model.w[f as usize];
-        }
-        for &f in item_feats {
-            out += self.cross_delta32(f) as f64;
-        }
-        out + model.second_order(item_feats)
-    }
-
-    /// Block twin of [`LowRanker::approx_score`], mirroring
-    /// [`TopNRanker::score_block`].
-    pub fn approx_score_block<S: ItemFeatureSource + ?Sized>(
-        &mut self,
-        items: &S,
-        ids: &[u32],
-        out: &mut Vec<f64>,
-    ) {
-        out.reserve(ids.len());
-        for &id in ids {
-            let score = self.approx_score(items.features_of(id));
-            out.push(score);
-        }
-    }
-
-    /// The f32 cross delta for one candidate feature `j`.
-    fn cross_delta32(&mut self, j: u32) -> f32 {
-        let j = j as usize;
-        let (vhj, qj, vj): (&[f32], f32, Option<&[f32]>) = match &mut self.rows {
-            LowRows::F32 { lp } => {
-                let (vh, q) = lp.hat32.row(j);
-                (vh, q, lp.v32_row(j))
-            }
-            LowRows::I8 { lp, scratch } => {
-                lp.qhat.dequant_into(j, scratch);
-                let k = lp.qhat.k();
-                let (vh, v) = scratch.split_at(k);
-                (vh, lp.qhat.q(j), lp.qhat.paired().then_some(v))
-            }
-        };
-        match &self.cross {
-            LowCross::Unweighted { s, u, m } => u + m * qj - 2.0 * kernel::dot_f32(s, vhj),
-            LowCross::WeightedDirect { hv, vh, q, k } => {
-                // `vj` is always present here: the weighted cross is only
-                // built when `LowPrec` carries the narrowed `V` tables.
-                let Some(vj) = vj else { return 0.0 };
-                let mut out = 0.0f32;
-                for ((hvi, vhi), &qi) in hv.chunks_exact(*k).zip(vh.chunks_exact(*k)).zip(q) {
-                    let w_ij = kernel::dot_f32(hvi, vj);
-                    let d = qi + qj - 2.0 * kernel::dot_f32(vhi, vhj);
-                    out += w_ij * d;
-                }
-                out
-            }
-            LowCross::Weighted { a, b, c, h, k } => {
-                let Some(vj) = vj else { return 0.0 };
-                let mut first = 0.0f32;
-                let mut cross = 0.0f32;
-                for r in 0..*k {
-                    let hv = h[r] * vj[r];
-                    if hv == 0.0 {
-                        continue;
-                    }
-                    first += hv * (b[r] + qj * a[r]);
-                    cross += hv * kernel::dot_f32(&c[r * k..(r + 1) * k], vhj);
-                }
-                first - 2.0 * cross
-            }
-        }
-    }
-}
-
-/// How many candidates the i8 probe keeps for the exact f64 re-rank: an
-/// 8x (and at least `n + 64`) pool absorbs quantization-induced
-/// reordering near the cutoff — including the compounding with IVF
-/// pruning, whose skip threshold tracks the approximate probe heap —
-/// so recall stays at the exact scan's level while returned scores stay
-/// bitwise the model's. The re-rank itself is a few dozen exact scores
-/// per request, noise next to the catalogue scan.
-pub fn rerank_pool(n: usize) -> usize {
-    (8 * n).max(n + 64)
-}
-
-impl FrozenModel {
-    /// Builds a low-precision candidate scanner over the same template
-    /// contract as [`FrozenModel::ranker`]. Returns `None` — callers
-    /// fall back to the exact f64 scan — when `precision` is
-    /// [`Precision::F64`], when no low-precision tables were built
-    /// ([`FrozenModel::with_precision`]), or when the model's
-    /// second-order form has no decoupled squared-Euclidean delta.
-    pub fn low_ranker<'m>(
-        &'m self,
-        template: &[u32],
-        item_slots: &[usize],
-        precision: Precision,
-    ) -> Option<LowRanker<'m>> {
-        let lp = self.lowp_tables()?;
-        LowRanker::new(self.ranker(template, item_slots), lp, precision)
     }
 }
 

@@ -29,11 +29,7 @@
 //!    `retrieval_parity` proptests across shard counts {1, 3, 8} and
 //!    threads {1, 2, 5}.
 
-use crate::frozen::FrozenModel;
-use crate::index::ItemFeatureSource;
 use crate::kernel;
-use crate::lowp::Precision;
-use crate::rank::rerank_pool;
 use gmlfm_par::Parallelism;
 use std::cmp::Ordering;
 use std::num::NonZeroUsize;
@@ -243,82 +239,6 @@ pub fn sharded_top_n_blocks<S>(
         heap.into_sorted()
     });
     merge_sharded(n, shard_tops)
-}
-
-/// Full-candidate top-N scan at a requested [`Precision`], or `None`
-/// when the exact f64 path should run instead (precision is
-/// [`Precision::F64`], the model carries no low-precision tables, or
-/// its second-order form has no decoupled squared-Euclidean delta).
-///
-/// * [`Precision::F32`] returns the approximate scores directly — see
-///   the README "Kernels" section for the error bound and tie-order
-///   caveat.
-/// * [`Precision::I8`] scans with the quantized tables into a
-///   [`rerank_pool`]-sized pool, then re-scores the pool with the exact
-///   f64 ranker ([`exact_rerank`]) — returned scores are bitwise the
-///   model's.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_top_n_prec<S: ItemFeatureSource + ?Sized + Sync>(
-    model: &FrozenModel,
-    items: &S,
-    candidates: &[u32],
-    template: &[u32],
-    item_slots: &[usize],
-    n: usize,
-    precision: Precision,
-    shards: NonZeroUsize,
-    par: Parallelism,
-) -> Option<Vec<(u32, f64)>> {
-    // One up-front probe so the per-shard constructor below can't fail.
-    model.low_ranker(template, item_slots, precision)?;
-    let approx = |pool_n: usize| {
-        let ranges = gmlfm_par::block_ranges(candidates.len(), shards.get());
-        let shard_tops = gmlfm_par::par_map(par, &ranges, |range| {
-            let Some(mut low) = model.low_ranker(template, item_slots, precision) else {
-                return Vec::new();
-            };
-            let mut heap = TopNHeap::new(pool_n);
-            let mut scores = Vec::with_capacity(kernel::CAND_BLOCK);
-            for block in candidates[range.clone()].chunks(kernel::CAND_BLOCK) {
-                scores.clear();
-                low.approx_score_block(items, block, &mut scores);
-                for (&item, &score) in block.iter().zip(&scores) {
-                    heap.push(item, score);
-                }
-            }
-            heap.into_sorted()
-        });
-        merge_sharded(pool_n, shard_tops)
-    };
-    match precision {
-        Precision::F64 => None,
-        Precision::F32 => Some(approx(n)),
-        Precision::I8 => {
-            let pool = approx(rerank_pool(n));
-            Some(exact_rerank(model, items, pool, template, item_slots, n))
-        }
-    }
-}
-
-/// Re-scores a candidate pool with the exact f64 ranker and returns the
-/// top `n` under [`rank_cmp`] — the step that makes every approximate
-/// probe's returned scores bitwise the model's.
-pub fn exact_rerank<S: ItemFeatureSource + ?Sized>(
-    model: &FrozenModel,
-    items: &S,
-    pool: Vec<(u32, f64)>,
-    template: &[u32],
-    item_slots: &[usize],
-    n: usize,
-) -> Vec<(u32, f64)> {
-    let mut ranker = model.ranker(template, item_slots);
-    let mut out: Vec<(u32, f64)> = pool
-        .into_iter()
-        .map(|(id, _)| (id, ranker.score(items.features_of(id))))
-        .collect();
-    out.sort_by(rank_cmp);
-    out.truncate(n);
-    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Kernel-parity sweep for the chunked scoring hot path.
 //!
-//! Three layers of pinning, from strictest to loosest:
+//! Two layers of pinning, from strictest to loosest:
 //!
 //! 1. **Block scan ≡ per-item scan, bitwise** — `score_block` (the
 //!    `CAND_BLOCK`-wide entry the sharded retrieval path uses) must
@@ -12,16 +12,10 @@
 //!    baseline mirrors every delta form with naive serial accumulation;
 //!    the chunked kernels may round differently but never beyond a
 //!    pairwise-reassociation bound.
-//! 3. **Low-precision tables** — the `f32` scan stays inside its
-//!    documented error bound against the exact scores; the `i8` probe +
-//!    exact re-rank returns scores **bitwise** the `f64` model's.
 
 use gmlfm_core::Distance;
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{
-    scan_top_n_prec, sharded_top_n, sharded_top_n_blocks, FrozenModel, IvfBuildOptions, IvfIndex, Precision,
-    SecondOrder,
-};
+use gmlfm_serve::{sharded_top_n, sharded_top_n_blocks, FrozenModel, SecondOrder};
 use gmlfm_tensor::init::normal;
 use gmlfm_tensor::seeded_rng;
 use proptest::prelude::*;
@@ -151,124 +145,5 @@ proptest! {
                 "mode {} k {} item {}: chunked {} vs scalar {}", mode, KS[k_idx], item, a, b
             );
         }
-    }
-}
-
-/// Layer 3a: the `f32` scan stays inside its documented error bound
-/// against the exact scores of the same items.
-#[test]
-fn f32_scan_is_error_bounded_against_f64() {
-    for seed in [3u64, 17, 40] {
-        let fx = fixture(0, 8, 200, seed);
-        let model = fx.model.with_precision(Precision::F32);
-        assert_eq!(model.precision(), Precision::F32);
-        let candidates: Vec<u32> = (0..200).collect();
-        let got = scan_top_n_prec(
-            &model,
-            &fx.items,
-            &candidates,
-            &fx.template,
-            &fx.item_slots,
-            200,
-            Precision::F32,
-            NonZeroUsize::new(2).expect("nonzero"),
-            Parallelism::threads(2),
-        )
-        .expect("metric SquaredEuclidean models carry f32 tables");
-        assert_eq!(got.len(), 200);
-        let mut exact = model.ranker(&fx.template, &fx.item_slots);
-        for (item, approx) in &got {
-            let want = exact.score(&fx.items[*item as usize]);
-            assert!(
-                (approx - want).abs() <= 1e-5 * want.abs().max(1.0),
-                "seed {seed} item {item}: f32 {approx} vs f64 {want}"
-            );
-        }
-    }
-}
-
-/// Layer 3b: the `i8` scan over-fetches and re-ranks exactly, so its
-/// returned scores are **bitwise** the exact ranker's — and with the
-/// 4x pool on a smooth synthetic model, the returned ranking is the
-/// exact top-n itself.
-#[test]
-fn i8_scan_returns_bitwise_exact_scores() {
-    for seed in [5u64, 23, 41] {
-        let fx = fixture(0, 8, 300, seed);
-        let model = fx.model.with_precision(Precision::I8);
-        let candidates: Vec<u32> = (0..300).collect();
-        let n = 10;
-        let got = scan_top_n_prec(
-            &model,
-            &fx.items,
-            &candidates,
-            &fx.template,
-            &fx.item_slots,
-            n,
-            Precision::I8,
-            NonZeroUsize::new(3).expect("nonzero"),
-            Parallelism::threads(3),
-        )
-        .expect("metric SquaredEuclidean models carry i8 tables");
-        assert_eq!(got.len(), n);
-        let mut exact = model.ranker(&fx.template, &fx.item_slots);
-        for (item, score) in &got {
-            let want = exact.score(&fx.items[*item as usize]);
-            assert_eq!(
-                score.to_bits(),
-                want.to_bits(),
-                "seed {seed} item {item}: i8 re-rank must return the exact score"
-            );
-        }
-        let reference = sharded_top_n(
-            &candidates,
-            n,
-            NonZeroUsize::new(1).expect("nonzero"),
-            Parallelism::serial(),
-            || model.ranker(&fx.template, &fx.item_slots),
-            |ranker, item| ranker.score(&fx.items[item as usize]),
-        );
-        assert_eq!(got, reference, "seed {seed}: 4x pool covers the exact top-{n} here");
-    }
-}
-
-/// Layer 3c: the IVF probe at `i8` keeps the index contract — returned
-/// scores bitwise the model's — and a full probe with the quantized
-/// scan still reproduces the exact retrieval on this fixture.
-#[test]
-fn i8_ivf_probe_keeps_scores_bitwise_exact() {
-    let fx = fixture(0, 8, 300, 13);
-    let model = fx.model.with_precision(Precision::I8);
-    let opts = IvfBuildOptions { clusters: Some(12), ..IvfBuildOptions::default() };
-    let index = IvfIndex::build(&model, &fx.items, &opts, Parallelism::serial()).expect("metric model");
-    let n = 10;
-    for threads in [1usize, 3] {
-        let got = index.search_prec(
-            &model,
-            &fx.items,
-            &fx.template,
-            &fx.item_slots,
-            n,
-            index.n_clusters(),
-            Parallelism::threads(threads),
-            &|_| false,
-            Precision::I8,
-        );
-        let exact = index.search(
-            &model,
-            &fx.items,
-            &fx.template,
-            &fx.item_slots,
-            n,
-            index.n_clusters(),
-            Parallelism::threads(threads),
-            &|_| false,
-        );
-        let mut ranker = model.ranker(&fx.template, &fx.item_slots);
-        for (item, score) in &got {
-            let want = ranker.score(&fx.items[*item as usize]);
-            assert_eq!(score.to_bits(), want.to_bits(), "threads {threads} item {item}");
-        }
-        assert_eq!(got, exact, "threads {threads}: full i8 probe matches the exact search here");
     }
 }

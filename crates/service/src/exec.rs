@@ -14,8 +14,7 @@ use crate::protocol::{BatchRequest, Interaction, Reply, Request, ScoreRequest, T
 use gmlfm_data::{FieldKind, Schema};
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{
-    scan_top_n_prec, sharded_top_n_blocks, FrozenModel, ItemFeatureSource, IvfIndex, Precision,
-    RetrievalStrategy, TopNHeap,
+    sharded_top_n_blocks, FrozenModel, ItemFeatureSource, IvfIndex, RetrievalStrategy, TopNHeap,
 };
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -79,42 +78,10 @@ pub trait ScoringBackend {
         heap.into_sorted()
     }
 
-    /// The precision this backend serves at when a request doesn't pin
-    /// its own ([`TopNRequest::precision`] is `None`). The default —
-    /// and every backend without low-precision scoring tables — is
-    /// [`Precision::F64`]: exact scores.
-    fn default_precision(&self) -> Precision {
-        Precision::F64
-    }
-
-    /// [`select_top_n`] with an explicit scoring-table [`Precision`].
-    ///
-    /// Backends without low-precision tables (the default
-    /// implementation) serve every precision exactly. The frozen
-    /// implementation scans its `f32`/`i8` table when the model carries
-    /// one — [`Precision::F32`] returns the approximate table scores,
-    /// [`Precision::I8`] re-ranks an over-fetched pool exactly so
-    /// returned scores stay bitwise the `f64` model's — and falls back
-    /// to the exact scan when it doesn't.
-    ///
-    /// [`select_top_n`]: ScoringBackend::select_top_n
-    fn select_top_n_prec(
-        &self,
-        catalog: &Catalog,
-        template: &[u32],
-        candidates: &[u32],
-        n: usize,
-        _precision: Precision,
-        par: Parallelism,
-    ) -> Vec<(u32, f64)> {
-        self.select_top_n(catalog, template, candidates, n, par)
-    }
-
     /// Index-backed whole-catalogue retrieval, when this backend can
     /// serve it: the top `n` non-excluded items via an IVF probe
-    /// ([`gmlfm_serve::IvfIndex::search_prec`]), scores bitwise the
-    /// exact ranker's at every `precision` (a low-precision probe only
-    /// picks the candidate pool; survivors are re-scored in `f64`).
+    /// ([`gmlfm_serve::IvfIndex::search`]), scores bitwise the exact
+    /// ranker's.
     /// `excluded` is the **sorted, deduplicated** union of the request's
     /// explicit exclusions and the user's seen items.
     ///
@@ -131,7 +98,6 @@ pub trait ScoringBackend {
         _n: usize,
         _nprobe: Option<usize>,
         _excluded: &[u32],
-        _precision: Precision,
         _par: Parallelism,
     ) -> Option<Vec<(u32, f64)>> {
         None
@@ -177,22 +143,6 @@ impl ScoringBackend for IndexedModel<'_> {
         self.frozen.select_top_n(catalog, template, candidates, n, par)
     }
 
-    fn default_precision(&self) -> Precision {
-        self.frozen.precision()
-    }
-
-    fn select_top_n_prec(
-        &self,
-        catalog: &Catalog,
-        template: &[u32],
-        candidates: &[u32],
-        n: usize,
-        precision: Precision,
-        par: Parallelism,
-    ) -> Vec<(u32, f64)> {
-        self.frozen.select_top_n_prec(catalog, template, candidates, n, precision, par)
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn select_top_n_indexed(
         &self,
@@ -201,7 +151,6 @@ impl ScoringBackend for IndexedModel<'_> {
         n: usize,
         nprobe: Option<usize>,
         excluded: &[u32],
-        precision: Precision,
         par: Parallelism,
     ) -> Option<Vec<(u32, f64)>> {
         let index = self.index?;
@@ -215,17 +164,9 @@ impl ScoringBackend for IndexedModel<'_> {
             return None;
         }
         let nprobe = nprobe.unwrap_or_else(|| index.default_nprobe()).clamp(1, index.n_clusters());
-        Some(index.search_prec(
-            self.frozen,
-            catalog,
-            template,
-            catalog.item_slots(),
-            n,
-            nprobe,
-            par,
-            &|item| excluded.binary_search(&item).is_ok(),
-            precision,
-        ))
+        Some(index.search(self.frozen, catalog, template, catalog.item_slots(), n, nprobe, par, &|item| {
+            excluded.binary_search(&item).is_ok()
+        }))
     }
 }
 
@@ -279,41 +220,6 @@ impl ScoringBackend for FrozenModel {
             || self.ranker(template, item_slots),
             |ranker, ids, out| ranker.score_block(catalog, ids, out),
         )
-    }
-
-    fn default_precision(&self) -> Precision {
-        self.precision()
-    }
-
-    /// Low-precision candidate scan when the model carries the matching
-    /// table ([`gmlfm_serve::scan_top_n_prec`]): `f32` scans return the
-    /// approximate table scores, `i8` scans over-fetch and re-rank
-    /// exactly. [`Precision::F64`] — and any precision the model has no
-    /// table for — serves through the exact sharded block scan.
-    fn select_top_n_prec(
-        &self,
-        catalog: &Catalog,
-        template: &[u32],
-        candidates: &[u32],
-        n: usize,
-        precision: Precision,
-        par: Parallelism,
-    ) -> Vec<(u32, f64)> {
-        let low = match precision {
-            Precision::F64 => None,
-            _ => scan_top_n_prec(
-                self,
-                catalog,
-                candidates,
-                template,
-                catalog.item_slots(),
-                n,
-                precision,
-                par.get_nonzero(),
-                par,
-            ),
-        };
-        low.unwrap_or_else(|| self.select_top_n(catalog, template, candidates, n, par))
     }
 }
 
@@ -599,7 +505,6 @@ pub fn execute_topn_live<B: ScoringBackend + ?Sized>(
     let catalog = catalog.ok_or(RequestError::MissingCatalog)?;
     let template = validate_topn(catalog, req)?;
     let par = req.par.unwrap_or(default_par);
-    let precision = req.precision.unwrap_or_else(|| backend.default_precision());
     let mut scratch = TOPN_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
 
     // Indexed retrieval: only whole-catalogue requests are eligible —
@@ -612,7 +517,7 @@ pub fn execute_topn_live<B: ScoringBackend + ?Sized>(
             _ => None,
         };
         fill_excluded(seen, live, req, &mut scratch.excluded);
-        backend.select_top_n_indexed(catalog, template, req.n, nprobe, &scratch.excluded, precision, par)
+        backend.select_top_n_indexed(catalog, template, req.n, nprobe, &scratch.excluded, par)
     } else {
         None
     };
@@ -620,7 +525,7 @@ pub fn execute_topn_live<B: ScoringBackend + ?Sized>(
         Some(value) => value,
         None => {
             fill_candidates(catalog, seen, live, req, &mut scratch.candidates);
-            backend.select_top_n_prec(catalog, template, &scratch.candidates, req.n, precision, par)
+            backend.select_top_n(catalog, template, &scratch.candidates, req.n, par)
         }
     };
 

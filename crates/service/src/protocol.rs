@@ -10,7 +10,7 @@
 
 use gmlfm_data::Instance;
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{Precision, RetrievalStrategy};
+use gmlfm_serve::RetrievalStrategy;
 
 use crate::error::RequestError;
 
@@ -116,29 +116,12 @@ pub struct TopNRequest {
     /// [`RetrievalStrategy`] for the approximation contract and the
     /// automatic exact-fallback conditions.
     pub strategy: Option<RetrievalStrategy>,
-    /// Scoring-table precision; `None` uses the snapshot's configured
-    /// default ([`Precision::F64`] unless the model was frozen with a
-    /// lower-precision table). [`Precision::F32`] scans an `f32` table
-    /// and returns approximate scores (~1e-6 relative); [`Precision::I8`]
-    /// probes a quantized table and re-ranks the survivors exactly, so
-    /// returned scores stay bitwise the `f64` model's. Requests that ask
-    /// for a precision the snapshot has no table for are served exactly.
-    pub precision: Option<Precision>,
 }
 
 impl TopNRequest {
     /// A whole-catalogue, exclude-seen request for `user`'s top `n`.
     pub fn new(user: u32, n: usize) -> Self {
-        Self {
-            user,
-            n,
-            candidates: None,
-            exclude: Vec::new(),
-            exclude_seen: true,
-            par: None,
-            strategy: None,
-            precision: None,
-        }
+        Self { user, n, candidates: None, exclude: Vec::new(), exclude_seen: true, par: None, strategy: None }
     }
 
     /// Restricts ranking to this candidate set (kept in the given order
@@ -171,14 +154,6 @@ impl TopNRequest {
     /// sharded-heap scan even when an index is installed).
     pub fn strategy(mut self, strategy: RetrievalStrategy) -> Self {
         self.strategy = Some(strategy);
-        self
-    }
-
-    /// Pins the scoring-table precision instead of using the snapshot's
-    /// default (see [`TopNRequest::precision`] for the accuracy
-    /// contract of each level).
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = Some(precision);
         self
     }
 }

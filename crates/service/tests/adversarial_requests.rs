@@ -114,7 +114,6 @@ fn topn_request() -> impl Strategy<Value = TopNRequest> {
             exclude_seen,
             par: Some(Parallelism::threads(threads)),
             strategy: None,
-            precision: None,
         },
     )
 }

@@ -16,7 +16,7 @@ use gmlfm_service::{
     TopNRequest,
 };
 use gmlfm_tensor::Matrix;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 const N_USERS: usize = 8;
 const N_ITEMS: usize = 12;
@@ -52,16 +52,22 @@ fn swaps_under_concurrent_readers_never_tear_a_response() {
     let server = ModelServer::new(snapshot(1)).expect("consistent snapshot");
     assert_eq!(server.generation(), 1);
 
+    const READERS: usize = 4;
     let done = AtomicBool::new(false);
+    let running = AtomicUsize::new(0);
     std::thread::scope(|s| {
         let mut readers = Vec::new();
-        for reader in 0..4 {
+        for reader in 0..READERS as u32 {
             let server = server.clone(); // the handle under test is Clone + Send + Sync
             let done = &done;
+            let running = &running;
             readers.push(s.spawn(move || {
                 let mut last_gen = 0u64;
                 let mut iterations = 0u64;
-                while !done.load(Ordering::Relaxed) {
+                running.fetch_add(1, Ordering::Relaxed);
+                // At least one full iteration per reader, however late
+                // the scheduler starts it relative to the writer.
+                loop {
                     // Score: value fully explained by the stamped generation.
                     let resp = server.score(&ScoreRequest::pair(reader, 3)).expect("valid pair");
                     assert_eq!(resp.value, marker(resp.generation), "torn score response");
@@ -96,12 +102,20 @@ fn swaps_under_concurrent_readers_never_tear_a_response() {
                         }
                     }
                     iterations += 1;
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 iterations
             }));
         }
 
-        // Writer: swap through SWAPS generations while the readers run.
+        // Writer: swap through SWAPS generations while the readers run —
+        // starting only once every reader thread is running, so the
+        // swaps overlap reads even on a loaded machine.
+        while running.load(Ordering::Relaxed) < READERS {
+            std::thread::yield_now();
+        }
         for generation in 2..=SWAPS {
             let installed = server.swap(snapshot(generation)).expect("schema-compatible swap");
             assert_eq!(installed, generation, "generations must bump by exactly 1");
