@@ -26,8 +26,8 @@
 //! `gmlfm-service` step for step, under sequential consistency. That is
 //! deliberately stronger than the declared orderings — see each model's
 //! docs for why the checked interleavings still cover the failure modes
-//! the weaker orderings admit (torn publication, lost wakeups, dropped
-//! updates), which are reorderings *of these same steps*.
+//! the weaker orderings admit (torn publication, use-after-free, lost
+//! wakeups), which are reorderings *of these same steps*.
 
 /// An explicit-state concurrent protocol: `thread_count` threads, each
 /// advanced by [`Model::step`] until [`Model::done`].

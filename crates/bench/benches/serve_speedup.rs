@@ -13,8 +13,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gmlfm_bench::fixture;
 use gmlfm_core::{GmlFm, GmlFmConfig};
 use gmlfm_data::{DatasetSpec, Instance};
-use gmlfm_eval::{evaluate_topn, evaluate_topn_frozen};
-use gmlfm_serve::Freeze;
+use gmlfm_eval::{evaluate_topn, evaluate_topn_backend, TopnMetrics};
+use gmlfm_par::Parallelism;
+use gmlfm_serve::{Freeze, FrozenModel};
+use gmlfm_service::Catalog;
 use gmlfm_train::{fit_regression, GraphModel, Scorer, TrainConfig};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -36,6 +38,13 @@ fn workload(cfg: &GmlFmConfig) -> Workload {
     );
     let test_instances = fixture.rating.test.clone();
     Workload { model, fixture, test_instances }
+}
+
+/// Leave-one-out evaluation of the frozen model through the request path
+/// over a catalog snapshot of the fixture dataset.
+fn frozen_loo_eval(frozen: &FrozenModel, catalog: &Catalog, w: &Workload) -> TopnMetrics {
+    evaluate_topn_backend(frozen, Some(catalog), None, &w.fixture.loo.test, 10, Parallelism::auto())
+        .expect("leave-one-out cases come from the catalog")
 }
 
 fn bench_batch_scoring(c: &mut Criterion) {
@@ -66,12 +75,11 @@ fn bench_topn_ranking(c: &mut Criterion) {
     let w = workload(&GmlFmConfig::dnn(16, 1));
     let frozen = w.model.freeze();
     let f = &w.fixture;
+    let catalog = Catalog::from_dataset(&f.dataset, &f.mask);
     group.bench_function("graph_loo_eval", |b| {
         b.iter(|| black_box(evaluate_topn(&w.model, &f.dataset, &f.mask, &f.loo.test, 10)))
     });
-    group.bench_function("frozen_loo_eval", |b| {
-        b.iter(|| black_box(evaluate_topn_frozen(&frozen, &f.dataset, &f.mask, &f.loo.test, 10)))
-    });
+    group.bench_function("frozen_loo_eval", |b| b.iter(|| black_box(frozen_loo_eval(&frozen, &catalog, &w))));
     group.finish();
 }
 
@@ -81,6 +89,7 @@ fn speedup_summary(_c: &mut Criterion) {
     let w = workload(&GmlFmConfig::dnn(16, 1));
     let frozen = w.model.freeze();
     let f = &w.fixture;
+    let catalog = Catalog::from_dataset(&f.dataset, &f.mask);
 
     fn time(mut job: impl FnMut()) -> f64 {
         job(); // warm
@@ -102,7 +111,7 @@ fn speedup_summary(_c: &mut Criterion) {
         black_box(evaluate_topn(&w.model, &f.dataset, &f.mask, &f.loo.test, 10));
     });
     let frozen_rank = time(|| {
-        black_box(evaluate_topn_frozen(&frozen, &f.dataset, &f.mask, &f.loo.test, 10));
+        black_box(frozen_loo_eval(&frozen, &catalog, &w));
     });
 
     println!(

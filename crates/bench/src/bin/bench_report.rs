@@ -2,7 +2,8 @@
 //!
 //! Measures the three hot paths the `gmlfm-par` subsystem threads
 //! through — chunked batch scoring, full-catalogue top-N ranking, and
-//! leave-one-out frozen evaluation — at 1, 2 and 4 requested threads,
+//! leave-one-out evaluation of a frozen model through the request path
+//! (`evaluate_topn_backend`) — at 1, 2 and 4 requested threads,
 //! verifies the parallel outputs are bit-identical to serial, and
 //! writes `BENCH_parallel.json` at the repository root so the perf
 //! trajectory is tracked in-repo. A second section measures the
@@ -73,7 +74,7 @@ use gmlfm_data::{
     generate, generate_scale, loo_split, DatasetSpec, FieldKind, FieldMask, Instance, LooTestCase,
     ScaleConfig, Schema,
 };
-use gmlfm_eval::evaluate_topn_frozen_with;
+use gmlfm_eval::evaluate_topn_backend;
 use gmlfm_models::fm::FmConfig;
 use gmlfm_models::FactorizationMachine;
 use gmlfm_net::{run_closed_loop, ClientConfig, NetRequest, NetServer, ServerConfig as NetServerConfig};
@@ -199,23 +200,27 @@ fn main() {
         topn_rates.push((t, rate));
     }
 
-    // -- 3. leave-one-out frozen evaluation ---------------------------
+    // -- 3. leave-one-out frozen evaluation (request path) ------------
     let dataset = generate(&DatasetSpec::AmazonAuto.config(seed.wrapping_add(2)).scaled(0.3));
     let mask = FieldMask::all(&dataset.schema);
     let split = loo_split(&dataset, &mask, 2, 50, seed.wrapping_add(3));
     let gml =
         GmlFm::new(dataset.schema.total_dim(), &GmlFmConfig::mahalanobis(16).with_seed(seed.wrapping_add(4)));
     let frozen = gml.freeze();
-    let serial_eval =
-        evaluate_topn_frozen_with(&frozen, &dataset, &mask, &split.test, 10, Parallelism::serial());
+    let eval_catalog = Catalog::from_dataset(&dataset, &mask);
+    let eval = |par: Parallelism| {
+        evaluate_topn_backend(&frozen, Some(&eval_catalog), None, &split.test, 10, par)
+            .expect("leave-one-out cases come from the catalog")
+    };
+    let serial_eval = eval(Parallelism::serial());
     let mut eval_rates = Vec::new();
     for t in THREADS {
         let par = Parallelism::threads(t);
-        let got = evaluate_topn_frozen_with(&frozen, &dataset, &mask, &split.test, 10, par);
+        let got = eval(par);
         assert_eq!(got.per_user_hr, serial_eval.per_user_hr, "parallel eval diverged at {t} threads");
         assert_eq!(got.per_user_ndcg, serial_eval.per_user_ndcg);
         let rate = throughput(split.test.len(), || {
-            std::hint::black_box(evaluate_topn_frozen_with(&frozen, &dataset, &mask, &split.test, 10, par));
+            std::hint::black_box(eval(par));
         });
         println!("eval_topn       threads={t}: {rate:>12.0} test cases/s");
         eval_rates.push((t, rate));
@@ -337,7 +342,7 @@ fn main() {
     // Whole-catalogue ranking requests at 10k / 100k / 1M items: the
     // full-sort path (score all, sort all, truncate — the pre-redesign
     // hot path) against the sharded bounded-heap path now serving
-    // `execute_topn`. Both score every candidate with the same rankers;
+    // `execute_topn_live`. Both score every candidate with the same rankers;
     // the difference under measurement is selection.
     let retrieval_sizes: Vec<usize> = std::env::var("GMLFM_BENCH_RETRIEVAL_ITEMS")
         .ok()
@@ -683,7 +688,7 @@ fn main() {
         ON_USERS + ON_ITEMS,
         FmConfig { k: 8, lr: 0.05, reg: 0.01, epochs: 2, seed: seed.wrapping_add(8) },
     );
-    on_fm.fit_hogwild(&on_base, 1);
+    on_fm.fit(&on_base);
     let on_server = ModelServer::new(ModelSnapshot {
         schema: on_schema,
         frozen: Freeze::freeze(&on_fm),

@@ -97,7 +97,6 @@ impl Engine {
             split: SplitPlan::default(),
             spec: None,
             train: TrainConfig::default(),
-            par: Parallelism::auto(),
             retrieval: RetrievalStrategy::Exact,
             online: false,
         }
@@ -122,7 +121,6 @@ pub struct EngineBuilder {
     split: SplitPlan,
     spec: Option<ModelSpec>,
     train: TrainConfig,
-    par: Parallelism,
     retrieval: RetrievalStrategy,
     online: bool,
 }
@@ -154,22 +152,9 @@ impl EngineBuilder {
     }
 
     /// Training-loop hyper-parameters for the autograd trainers
-    /// (hand-derived SGD models carry their own in the spec; the
-    /// `hogwild_threads` field opts them into parallel epochs).
+    /// (hand-derived SGD models carry their own in the spec).
     pub fn train_config(mut self, train: TrainConfig) -> Self {
         self.train = train;
-        self
-    }
-
-    /// Serving/eval parallelism for the resulting [`Recommender`]:
-    /// batch scoring, `top_n` and holdout evaluation partition their
-    /// work across this many pool workers. Defaults to
-    /// [`Parallelism::auto`] (`GMLFM_THREADS` or the machine's core
-    /// count); `threads(1)` is the deterministic serial escape hatch —
-    /// though parallel results are bit-identical to serial anyway,
-    /// pinned by the `parallel_parity` tests.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.par = Parallelism::threads(n);
         self
     }
 
@@ -242,7 +227,7 @@ impl EngineBuilder {
                     RetrievalStrategy::Exact => None,
                     RetrievalStrategy::Ivf { nprobe } => {
                         let opts = IvfBuildOptions { nprobe, ..IvfBuildOptions::default() };
-                        IvfIndex::build(&frozen, &catalog, &opts, self.par)
+                        IvfIndex::build(&frozen, &catalog, &opts, Parallelism::auto())
                     }
                 };
                 let server = ModelServer::new(ModelSnapshot {
@@ -260,15 +245,7 @@ impl EngineBuilder {
             }
             None => (Serving::Live { est: estimator, catalog: Some(catalog), seen }, None),
         };
-        Ok(Recommender {
-            spec,
-            schema,
-            serving,
-            holdout: Some(holdout),
-            report: Some(report),
-            par: self.par,
-            online,
-        })
+        Ok(Recommender { spec, schema, serving, holdout: Some(holdout), report: Some(report), online })
     }
 }
 
@@ -364,8 +341,6 @@ pub struct Recommender {
     serving: Serving,
     holdout: Option<Holdout>,
     report: Option<TrainReport>,
-    /// Worker count for batch scoring, `top_n` and holdout evaluation.
-    par: Parallelism,
     /// Warm-start state retained by [`EngineBuilder::online`]; taken by
     /// [`Recommender::serve_online`].
     online: Option<OnlineSeed>,
@@ -382,20 +357,8 @@ impl Recommender {
             serving: Serving::Service(ModelServer::new(snapshot)?),
             holdout: None,
             report: None,
-            par: Parallelism::auto(),
             online: None,
         })
-    }
-
-    /// Overrides the serving/eval parallelism (loaded artifacts start at
-    /// [`Parallelism::auto`]); `1` forces the serial path.
-    pub fn set_threads(&mut self, n: usize) {
-        self.par = Parallelism::threads(n);
-    }
-
-    /// The serving/eval worker count this recommender uses.
-    pub fn threads(&self) -> usize {
-        self.par.get()
     }
 
     /// The spec this recommender was built from (or restored with).
@@ -535,28 +498,37 @@ impl Recommender {
     /// seen-item exclusion default (exclude) applies.
     pub fn handle_top_n(&self, req: &TopNRequest) -> Result<Response<Vec<(u32, f64)>>, EngineError> {
         match &self.serving {
-            Serving::Service(server) => Ok(server.top_n(&self.with_par(req))?),
+            Serving::Service(server) => Ok(server.top_n(req)?),
             Serving::Live { est, catalog, seen } => {
                 let backend = LiveBackend(est.as_ref());
-                let value = exec::execute_topn(&backend, catalog.as_ref(), seen.as_ref(), req, self.par)?;
+                let value = exec::execute_topn_live(
+                    &backend,
+                    catalog.as_ref(),
+                    seen.as_ref(),
+                    &[],
+                    req,
+                    exec::standalone_par(),
+                )?;
                 Ok(Response { generation: LIVE_GENERATION, value })
             }
         }
     }
 
     /// Answers a [`BatchRequest`] against one model snapshot; each
-    /// sub-request validates and fails independently. Like the other
-    /// wrappers, a batch without its own [`BatchRequest::parallelism`]
-    /// fans out across this recommender's configured worker count.
+    /// sub-request validates and fails independently.
     pub fn handle_batch(&self, req: &BatchRequest) -> Response<Vec<Result<Reply, RequestError>>> {
-        let mut req = req.clone();
-        req.par = Some(req.par.unwrap_or(self.par));
         match &self.serving {
-            Serving::Service(server) => server.batch(&req),
+            Serving::Service(server) => server.batch(req),
             Serving::Live { est, catalog, seen } => {
                 let backend = LiveBackend(est.as_ref());
-                let value =
-                    exec::execute_batch(&backend, &self.schema, catalog.as_ref(), seen.as_ref(), &req);
+                let value = exec::execute_batch_live(
+                    &backend,
+                    &self.schema,
+                    catalog.as_ref(),
+                    seen.as_ref(),
+                    None,
+                    req,
+                );
                 Response { generation: LIVE_GENERATION, value }
             }
         }
@@ -591,16 +563,8 @@ impl Recommender {
     /// on [`TopNRequest`]: score descending, equal scores broken by
     /// ascending item id.
     pub fn top_n(&self, user: u32, n: usize) -> Result<Vec<(u32, f64)>, EngineError> {
-        let req = TopNRequest::new(user, n).include_seen().parallelism(self.par);
+        let req = TopNRequest::new(user, n).include_seen();
         Ok(self.handle_top_n(&req)?.value)
-    }
-
-    /// Fills a request's parallelism with this recommender's configured
-    /// worker count when the request does not pin its own.
-    fn with_par(&self, req: &TopNRequest) -> TopNRequest {
-        let mut req = req.clone();
-        req.par = Some(req.par.unwrap_or(self.par));
-        req
     }
 
     /// RMSE/MAE on the rating holdout this recommender was fit with.
@@ -641,7 +605,7 @@ impl Recommender {
                     snap.seen.as_ref(),
                     cases,
                     k,
-                    self.par,
+                    exec::standalone_par(),
                 )
             }
             Serving::Live { est, catalog, seen } => evaluate_topn_backend(
@@ -650,7 +614,7 @@ impl Recommender {
                 seen.as_ref(),
                 cases,
                 k,
-                self.par,
+                exec::standalone_par(),
             ),
         };
         metrics.map_err(EngineError::from)
@@ -749,7 +713,7 @@ impl Scorer for Recommender {
                     &snap.frozen,
                     instances,
                     gmlfm_train::EVAL_CHUNK_SIZE,
-                    self.par,
+                    Parallelism::auto(),
                 )
             }
             Serving::Live { est, .. } => est.scorer().scores(instances),

@@ -24,7 +24,7 @@ use gmlfm_models::fm::FmConfig;
 use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{rank_cmp, FrozenModel, IvfBuildOptions, IvfIndex, RetrievalStrategy};
-use gmlfm_service::{Catalog, IndexedModel, ModelServer, ModelSnapshot, ScoringBackend};
+use gmlfm_service::{exec, Catalog, IndexedModel, ModelServer, ModelSnapshot, ScoringBackend};
 use gmlfm_train::TrainConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -114,6 +114,17 @@ fn reference_top_n(model: &FrozenModel, catalog: &Catalog, user: u32, n: usize) 
     scored
 }
 
+/// `server`'s typed request path at an explicit worker count: the
+/// execution the server runs, pinned to `threads` instead of the process
+/// setting.
+fn top_n_at(server: &ModelServer, req: &TopNRequest, threads: usize) -> Vec<(u32, f64)> {
+    let (_, snap) = server.snapshot();
+    let backend = IndexedModel { frozen: &snap.frozen, index: snap.index.as_ref() };
+    let par = Parallelism::threads(threads);
+    exec::execute_topn_live(&backend, snap.catalog.as_ref(), snap.seen.as_ref(), &[], req, par)
+        .expect("valid request")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -131,18 +142,17 @@ proptest! {
         let user = user % f.catalog.n_users() as u32;
         let n = [1, 10, f.catalog.n_items()][n_kind];
         let reference = reference_top_n(&v.frozen, &f.catalog, user, n);
+        let base = TopNRequest::new(user, n).include_seen();
+        let exact = base.clone().strategy(RetrievalStrategy::Exact);
+        // The servers themselves, at the process-wide worker count.
+        prop_assert_eq!(&v.plain.top_n(&base).expect("valid request").value, &reference);
+        prop_assert_eq!(&v.indexed.top_n(&exact).expect("valid request").value, &reference);
         for threads in THREAD_COUNTS {
-            let base = TopNRequest::new(user, n)
-                .include_seen()
-                .parallelism(Parallelism::threads(threads));
             // The pre-index serving path, unchanged.
-            let plain = v.plain.top_n(&base.clone()).expect("valid request").value;
+            let plain = top_n_at(&v.plain, &base, threads);
             prop_assert_eq!(&plain, &reference, "{} plain path drifted (threads={})", v.name, threads);
             // Exact pinned on the indexed snapshot: same bits.
-            let exact = v.indexed
-                .top_n(&base.strategy(RetrievalStrategy::Exact))
-                .expect("valid request")
-                .value;
+            let exact = top_n_at(&v.indexed, &exact, threads);
             prop_assert_eq!(&exact, &reference, "{} Exact on indexed snapshot drifted (threads={})", v.name, threads);
         }
     }
@@ -169,6 +179,9 @@ proptest! {
         prop_assert!(f.catalog.n_items() >= 4 * n, "fixture large enough for the indexed path");
         let reference = reference_top_n(&v.frozen, &f.catalog, user, n);
         let backend = IndexedModel { frozen: &v.frozen, index: Some(index) };
+        let req = TopNRequest::new(user, n)
+            .include_seen()
+            .strategy(RetrievalStrategy::Ivf { nprobe: Some(index.n_clusters()) });
         for threads in THREAD_COUNTS {
             let got = backend
                 .select_top_n_indexed(
@@ -186,13 +199,11 @@ proptest! {
                 prop_assert_eq!(g.1.to_bits(), r.1.to_bits(), "{} score drifted (threads={})", v.name, threads);
             }
             // Same through the typed request path.
-            let req = TopNRequest::new(user, n)
-                .include_seen()
-                .parallelism(Parallelism::threads(threads))
-                .strategy(RetrievalStrategy::Ivf { nprobe: Some(index.n_clusters()) });
-            let served = v.indexed.top_n(&req).expect("valid request").value;
+            let served = top_n_at(&v.indexed, &req, threads);
             prop_assert_eq!(&served, &reference, "{} request path drifted (threads={})", v.name, threads);
         }
+        let served = v.indexed.top_n(&req).expect("valid request").value;
+        prop_assert_eq!(&served, &reference, "{} server drifted", v.name);
     }
 }
 

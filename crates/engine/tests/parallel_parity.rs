@@ -10,13 +10,14 @@
 
 use gmlfm_core::{Distance, GmlFmConfig};
 use gmlfm_data::{generate, loo_split, DatasetSpec, FieldMask, Instance, LooSplit};
-use gmlfm_engine::{Engine, ModelSpec, SplitPlan};
-use gmlfm_eval::{evaluate_rating, evaluate_topn_frozen_with};
+use gmlfm_engine::ModelSpec;
+use gmlfm_eval::{evaluate_rating, evaluate_topn_backend, TopnMetrics};
 use gmlfm_models::fm::FmConfig;
 use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{score_chunked, score_chunked_par, FrozenModel};
-use gmlfm_train::{Scorer, TrainConfig};
+use gmlfm_serve::{score_chunked_par, FrozenModel};
+use gmlfm_service::Catalog;
+use gmlfm_train::Scorer;
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -41,8 +42,8 @@ fn freezable_specs() -> Vec<ModelSpec> {
 }
 
 struct Fixture {
-    dataset: gmlfm_data::Dataset,
-    mask: FieldMask,
+    /// The serving catalog snapshot of the fixture dataset.
+    catalog: Catalog,
     split: LooSplit,
     /// `(display name, frozen model)` for every freezable spec.
     frozen: Vec<(&'static str, FrozenModel)>,
@@ -65,7 +66,7 @@ fn fixture() -> &'static Fixture {
                 (name, estimator.freeze_if_supported().expect("freezable spec"))
             })
             .collect();
-        Fixture { dataset, mask, split, frozen }
+        Fixture { catalog: Catalog::from_dataset(&dataset, &mask), split, frozen }
     })
 }
 
@@ -103,7 +104,7 @@ proptest! {
             })
             .collect();
         let chunk = NonZeroUsize::new(chunk).expect("non-zero");
-        let serial = score_chunked(model, &instances, chunk);
+        let serial = score_chunked_par(model, &instances, chunk, Parallelism::serial());
         for t in THREAD_COUNTS {
             let par = score_chunked_par(model, &instances, chunk, Parallelism::threads(t));
             prop_assert_eq!(
@@ -114,19 +115,20 @@ proptest! {
         }
     }
 
-    /// The frozen leave-one-out protocol produces bit-identical per-user
-    /// metric vectors at every thread count.
+    /// The leave-one-out protocol over a frozen model's catalog snapshot
+    /// produces bit-identical per-user metric vectors at every thread
+    /// count.
     #[test]
     fn evaluate_topn_frozen_parallel_is_bit_identical(variant in 0usize..10) {
         let f = fixture();
         let (name, model) = &f.frozen[variant];
-        let serial = evaluate_topn_frozen_with(
-            model, &f.dataset, &f.mask, &f.split.test, 10, Parallelism::serial(),
-        );
+        let eval = |par: Parallelism| -> TopnMetrics {
+            evaluate_topn_backend(model, Some(&f.catalog), None, &f.split.test, 10, par)
+                .expect("leave-one-out cases come from the catalog")
+        };
+        let serial = eval(Parallelism::serial());
         for t in THREAD_COUNTS {
-            let par = evaluate_topn_frozen_with(
-                model, &f.dataset, &f.mask, &f.split.test, 10, Parallelism::threads(t),
-            );
+            let par = eval(Parallelism::threads(t));
             prop_assert_eq!(&par.per_user_hr, &serial.per_user_hr, "{} HR at {} threads", name, t);
             prop_assert_eq!(
                 par.per_user_ndcg.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
@@ -153,51 +155,4 @@ proptest! {
             prop_assert_eq!(par.n, serial.n);
         }
     }
-}
-
-/// The engine's builder-level `threads(..)` knob must not change
-/// rankings or holdout metrics either.
-#[test]
-fn engine_threads_knob_is_output_invariant() {
-    let dataset = generate(&DatasetSpec::AmazonAuto.config(93).scaled(0.15));
-    let build = |threads: usize| {
-        Engine::builder()
-            .dataset(dataset.clone())
-            .split(SplitPlan::topn(5))
-            .spec(ModelSpec::gml_fm_md(6))
-            .train_config(TrainConfig { epochs: 1, ..TrainConfig::default() })
-            .threads(threads)
-            .fit()
-            .expect("pipeline")
-    };
-    let serial = build(1);
-    let parallel = build(5);
-    assert_eq!(parallel.threads(), 5);
-    for user in 0..8u32 {
-        assert_eq!(serial.top_n(user, 10).unwrap(), parallel.top_n(user, 10).unwrap(), "user {user}");
-    }
-    let a = serial.evaluate_topn(10).unwrap();
-    let b = parallel.evaluate_topn(10).unwrap();
-    assert_eq!(a.per_user_hr, b.per_user_hr);
-    assert_eq!(a.per_user_ndcg, b.per_user_ndcg);
-}
-
-/// Hogwild opt-in through the engine trains and serves end to end (the
-/// result is not reproducible across runs by design, so this pins only
-/// that the mode works and produces finite, usable models).
-#[test]
-fn engine_hogwild_opt_in_trains_end_to_end() {
-    let dataset = generate(&DatasetSpec::AmazonAuto.config(95).scaled(0.15));
-    let rec = Engine::builder()
-        .dataset(dataset)
-        .split(SplitPlan::rating(7))
-        .spec(ModelSpec::fm(FmConfig { k: 6, epochs: 3, ..FmConfig::default() }))
-        .train_config(TrainConfig { hogwild_threads: 3, ..TrainConfig::default() })
-        .fit()
-        .expect("hogwild pipeline");
-    let report = rec.report().expect("fit keeps a report");
-    assert_eq!(report.train_losses.len(), 3);
-    assert!(report.train_losses.iter().all(|l| l.is_finite()));
-    let metrics = rec.evaluate_rating().expect("rating holdout");
-    assert!(metrics.rmse.is_finite() && metrics.rmse > 0.0);
 }

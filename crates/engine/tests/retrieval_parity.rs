@@ -10,7 +10,8 @@
 //! score desc, item id asc), truncate. The fast path must reproduce it
 //! exactly — no approximation budget — both when called directly
 //! ([`gmlfm_serve::sharded_top_n`]) and through the serving request
-//! path (`ModelServer::top_n`).
+//! path (`ModelServer::top_n`, and `exec::execute_topn_live` — what it
+//! runs — at each thread count).
 
 use gmlfm_core::{Distance, GmlFmConfig};
 use gmlfm_data::{generate, DatasetSpec, FieldMask};
@@ -19,7 +20,7 @@ use gmlfm_models::fm::FmConfig;
 use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{rank_cmp, sharded_top_n, FrozenModel};
-use gmlfm_service::{Catalog, ModelServer, ModelSnapshot, TopNRequest};
+use gmlfm_service::{exec, Catalog, ModelServer, ModelSnapshot, TopNRequest};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -137,9 +138,14 @@ proptest! {
         let catalog_size = f.catalog.n_items();
         let n = [1, 5, catalog_size, catalog_size + 10][n_kind];
         let reference = reference_top_n(model, &f.catalog, user, n);
+        let req = TopNRequest::new(user, n).include_seen();
+        let got = server.top_n(&req).expect("valid request").value;
+        prop_assert_eq!(&got, &reference, "{} server drifted (n={})", name, n);
+        let (_, snap) = server.snapshot();
         for threads in THREAD_COUNTS {
-            let req = TopNRequest::new(user, n).include_seen().parallelism(Parallelism::threads(threads));
-            let got = server.top_n(&req).expect("valid request").value;
+            let par = Parallelism::threads(threads);
+            let got = exec::execute_topn_live(&snap.frozen, snap.catalog.as_ref(), snap.seen.as_ref(), &[], &req, par)
+                .expect("valid request");
             prop_assert_eq!(&got, &reference, "{} request path drifted (threads={}, n={})", name, threads, n);
         }
     }

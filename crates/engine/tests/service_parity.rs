@@ -19,6 +19,7 @@ use gmlfm_engine::{
 };
 use gmlfm_models::fm::FmConfig;
 use gmlfm_models::transfm::TransFmConfig;
+use gmlfm_service::exec;
 use gmlfm_train::TrainConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -123,11 +124,17 @@ proptest! {
         let reference = reference_top_n(&fixture.rec, user, 10);
         let wrapper = fixture.rec.top_n(user, 10).expect("user in catalog");
         prop_assert_eq!(&wrapper, &reference, "{} wrapper drifted for user {}", fixture.name, user);
-        let req = TopNRequest::new(user, 10)
-            .include_seen()
-            .parallelism(gmlfm_par::Parallelism::threads(threads));
-        let served = fixture.rec.serve().expect("freezable").top_n(&req).expect("user in catalog");
+        let req = TopNRequest::new(user, 10).include_seen();
+        let server = fixture.rec.serve().expect("freezable");
+        let served = server.top_n(&req).expect("user in catalog");
         prop_assert_eq!(&served.value, &reference, "{} server drifted for user {}", fixture.name, user);
+        // What the server runs, at an explicit worker count.
+        let (_, snap) = server.snapshot();
+        let par = gmlfm_par::Parallelism::threads(threads);
+        let at_threads =
+            exec::execute_topn_live(&snap.frozen, snap.catalog.as_ref(), snap.seen.as_ref(), &[], &req, par)
+                .expect("user in catalog");
+        prop_assert_eq!(&at_threads, &reference, "{} drifted at {} threads", fixture.name, threads);
     }
 }
 

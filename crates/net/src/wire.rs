@@ -19,11 +19,13 @@
 //! JSON number, exact up to 2^53 — generations increment by 1 per
 //! hot swap, so the bound is unreachable in any real deployment.
 //!
-//! Unknown members are ignored, including the retired top-n
+//! Unknown members are ignored, including two retired ones. The top-n
 //! `"precision"` member (`"f64"`, `"f32"` or `"i8"`): every top-n
-//! request is served by the exact f64 scan whatever its value.
+//! request is served by the exact f64 scan whatever its value. And the
+//! `"par"` worker count of `topn` and `batch` requests: the server sizes
+//! every request's fan-out itself (`GMLFM_THREADS`), whatever a client
+//! asks for.
 
-use gmlfm_par::Parallelism;
 use gmlfm_serve::RetrievalStrategy;
 use gmlfm_service::{
     BatchRequest, FeedAck, Interaction, Reply, Request, RequestError, ScoreRequest, TopNRequest,
@@ -207,8 +209,6 @@ fn push_topn_fields(req: &TopNRequest, out: &mut String) {
     req.exclude.serialize_json(out);
     out.push_str(",\"exclude_seen\":");
     req.exclude_seen.serialize_json(out);
-    out.push_str(",\"par\":");
-    req.par.map(|p| p.get()).serialize_json(out);
     out.push_str(",\"strategy\":");
     push_strategy(&req.strategy, out);
 }
@@ -243,9 +243,7 @@ pub fn encode_request(req: &NetRequest) -> String {
             out.push('}');
         }
         NetRequest::Batch(b) => {
-            out.push_str("{\"op\":\"batch\",\"par\":");
-            b.par.map(|p| p.get()).serialize_json(&mut out);
-            out.push_str(",\"requests\":[");
+            out.push_str("{\"op\":\"batch\",\"requests\":[");
             for (i, sub) in b.requests.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -387,14 +385,6 @@ impl<T: serde::Deserialize> OptionalMember for Option<T> {
     }
 }
 
-fn decode_par(v: &Value) -> Result<Option<Parallelism>, WireError> {
-    let Some(p) = v.get("par") else { return Ok(None) };
-    let n = Option::<usize>::deserialize_json_helper(p)?;
-    // threads(0) clamps to 1 by the Parallelism contract, so any wire
-    // integer maps to a valid worker count.
-    Ok(n.map(Parallelism::threads))
-}
-
 fn decode_topn(v: &Value) -> Result<TopNRequest, WireError> {
     let candidates = match v.get("candidates") {
         None => None,
@@ -414,7 +404,6 @@ fn decode_topn(v: &Value) -> Result<TopNRequest, WireError> {
         candidates,
         exclude,
         exclude_seen,
-        par: decode_par(v)?,
         strategy: decode_strategy(v)?,
     })
 }
@@ -461,7 +450,7 @@ pub fn decode_request(payload: &[u8]) -> Result<NetRequest, WireError> {
                 .and_then(Value::as_array)
                 .ok_or_else(|| WireError::new("batch without a 'requests' array"))?;
             let requests = members.iter().map(decode_one).collect::<Result<Vec<_>, _>>()?;
-            Ok(NetRequest::Batch(BatchRequest { requests, par: decode_par(&v)? }))
+            Ok(NetRequest::Batch(BatchRequest { requests }))
         }
         "feed" => Ok(NetRequest::Feed(decode_feed(&v)?)),
         other => Err(WireError::new(format!("unknown op '{other}'"))),
@@ -532,16 +521,12 @@ mod tests {
                     .candidates(vec![9, 8, 7])
                     .exclude(vec![8])
                     .include_seen()
-                    .parallelism(Parallelism::threads(2))
                     .strategy(RetrievalStrategy::Ivf { nprobe: Some(4) }),
             ),
-            NetRequest::Batch(
-                BatchRequest::new(vec![
-                    Request::Score(ScoreRequest::pair(0, 1)),
-                    Request::TopN(TopNRequest::new(0, 2)),
-                ])
-                .parallelism(Parallelism::serial()),
-            ),
+            NetRequest::Batch(BatchRequest::new(vec![
+                Request::Score(ScoreRequest::pair(0, 1)),
+                Request::TopN(TopNRequest::new(0, 2)),
+            ])),
         ];
         for req in &reqs {
             let text = encode_request(req);
@@ -558,6 +543,29 @@ mod tests {
             let got = decode_request(text.as_bytes()).unwrap();
             assert_eq!(got, absent, "precision {value}");
         }
+    }
+
+    /// A client-sent worker count never reaches the server: `"par"` on a
+    /// `topn`, a `batch` or a batched `topn` decodes, whatever its value,
+    /// to the same request as the frame without it — no frame can make
+    /// the server build one ranker per requested shard.
+    #[test]
+    fn retired_par_member_is_ignored() {
+        let topn = decode_request(br#"{"op":"topn","user":1,"n":2}"#).unwrap();
+        let batch = decode_request(br#"{"op":"batch","requests":[{"op":"topn","user":1,"n":2}]}"#).unwrap();
+        for value in ["null", "0", "2", "100000", "9007199254740991", "\"x\""] {
+            let text = format!(r#"{{"op":"topn","user":1,"n":2,"par":{value}}}"#);
+            assert_eq!(decode_request(text.as_bytes()).unwrap(), topn, "topn par {value}");
+            let text =
+                format!(r#"{{"op":"batch","par":{value},"requests":[{{"op":"topn","user":1,"n":2}}]}}"#);
+            assert_eq!(decode_request(text.as_bytes()).unwrap(), batch, "batch par {value}");
+            let text =
+                format!(r#"{{"op":"batch","requests":[{{"op":"topn","user":1,"n":2,"par":{value}}}]}}"#);
+            assert_eq!(decode_request(text.as_bytes()).unwrap(), batch, "batched topn par {value}");
+        }
+        // And the encoder no longer emits the member.
+        assert!(!encode_request(&topn).contains("\"par\""));
+        assert!(!encode_request(&batch).contains("\"par\""));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use gmlfm_net::frame::{self, FrameError, HEADER_BYTES};
 use gmlfm_net::wire::{self, NetError, NetReply, NetRequest, NetResponse};
-use gmlfm_par::Parallelism;
 use gmlfm_serve::RetrievalStrategy;
 use gmlfm_service::{BatchRequest, Request, ScoreRequest, TopNRequest};
 use proptest::collection::vec;
@@ -36,15 +35,14 @@ fn arb_strategy() -> impl Strategy<Value = Option<RetrievalStrategy>> {
 fn arb_topn() -> impl Strategy<Value = TopNRequest> {
     (
         (any::<u32>(), 0usize..1000, option::of(vec(any::<u32>(), 0..5))),
-        (vec(any::<u32>(), 0..4), any::<bool>(), option::of(1usize..16), arb_strategy()),
+        (vec(any::<u32>(), 0..4), any::<bool>(), arb_strategy()),
     )
-        .prop_map(|((user, n, candidates), (exclude, exclude_seen, par, strategy))| TopNRequest {
+        .prop_map(|((user, n, candidates), (exclude, exclude_seen, strategy))| TopNRequest {
             user,
             n,
             candidates,
             exclude,
             exclude_seen,
-            par: par.map(Parallelism::threads),
             strategy,
         })
 }
@@ -54,9 +52,7 @@ fn arb_request() -> impl Strategy<Value = NetRequest> {
     prop_oneof![
         arb_score().prop_map(NetRequest::Score),
         arb_topn().prop_map(NetRequest::TopN),
-        (vec(sub, 0..4), option::of(1usize..8)).prop_map(|(requests, par)| {
-            NetRequest::Batch(BatchRequest { requests, par: par.map(Parallelism::threads) })
-        }),
+        vec(sub, 0..4).prop_map(|requests| NetRequest::Batch(BatchRequest { requests })),
     ]
 }
 

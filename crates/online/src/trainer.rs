@@ -31,7 +31,7 @@ pub trait OnlineModel: Send {
     /// Continues training from the current parameters over `train`
     /// (base + accumulated interactions). `cfg` carries the per-round
     /// knobs; SGD trainers with their own epoch configuration may
-    /// consume only `cfg.hogwild_threads`.
+    /// ignore it.
     fn warm_fit(&mut self, train: &[Instance], cfg: &TrainConfig) -> Result<(), OnlineError>;
 
     /// Extracts the frozen serving candidate at the current weights.
@@ -39,13 +39,12 @@ pub trait OnlineModel: Send {
 }
 
 impl OnlineModel for gmlfm_models::FactorizationMachine {
-    fn warm_fit(&mut self, train: &[Instance], cfg: &TrainConfig) -> Result<(), OnlineError> {
+    fn warm_fit(&mut self, train: &[Instance], _cfg: &TrainConfig) -> Result<(), OnlineError> {
         if train.is_empty() {
             return Err(OnlineError::Train("empty training set".into()));
         }
-        // Epochs/lr come from the FM's own `FmConfig`; the round config
-        // only sizes the Hogwild pool.
-        self.fit_hogwild(train, cfg.hogwild_threads.max(1));
+        // Epochs/lr come from the FM's own `FmConfig`.
+        self.fit(train);
         Ok(())
     }
 
@@ -53,6 +52,10 @@ impl OnlineModel for gmlfm_models::FactorizationMachine {
         Ok(Freeze::freeze(self))
     }
 }
+
+/// Worker count of a round's gate evaluation and index rebuild: serial,
+/// so a retrain never competes with live requests for the pool.
+const ROUND_PAR: Parallelism = Parallelism::serial();
 
 /// Tuning knobs of the online loop.
 #[derive(Debug, Clone)]
@@ -81,8 +84,6 @@ pub struct OnlineConfig {
     /// loop driven only by explicit [`OnlineTrainer::run_once`] calls
     /// (deterministic tests, benches).
     pub background: bool,
-    /// Worker count for gate evaluation and index rebuilds.
-    pub par: Parallelism,
 }
 
 impl Default for OnlineConfig {
@@ -98,7 +99,6 @@ impl Default for OnlineConfig {
             negatives_per_event: 2,
             seed: 0x6f6e_6c69,
             background: true,
-            par: Parallelism::serial(),
         }
     }
 }
@@ -473,7 +473,7 @@ fn retrain_and_publish(
     // Metric-mode snapshots rebuild their IVF index at the candidate's
     // weights — sublinear retrieval must never serve a stale index.
     let index = if snap.index.is_some() {
-        IvfIndex::build(&frozen, &catalog, &IvfBuildOptions::default(), shared.cfg.par)
+        IvfIndex::build(&frozen, &catalog, &IvfBuildOptions::default(), ROUND_PAR)
     } else {
         None
     };
@@ -481,7 +481,7 @@ fn retrain_and_publish(
     // Gate: candidate vs (cached) baseline on the pinned holdout.
     let baseline = match st.baseline {
         Some((cached_generation, metrics)) if cached_generation == generation => metrics,
-        _ => match shared.gate.score(&snap.frozen, snap.catalog.as_ref(), shared.cfg.par) {
+        _ => match shared.gate.score(&snap.frozen, snap.catalog.as_ref(), ROUND_PAR) {
             Ok(metrics) => {
                 st.baseline = Some((generation, metrics));
                 metrics
@@ -489,7 +489,7 @@ fn retrain_and_publish(
             Err(e) => return RoundOutcome::Failed { error: format!("baseline eval failed: {e}") },
         },
     };
-    let candidate = match shared.gate.score(&frozen, Some(&catalog), shared.cfg.par) {
+    let candidate = match shared.gate.score(&frozen, Some(&catalog), ROUND_PAR) {
         Ok(metrics) => metrics,
         Err(e) => return RoundOutcome::Failed { error: format!("candidate eval failed: {e}") },
     };

@@ -1,12 +1,11 @@
 //! # gmlfm-par
 //!
 //! Std-only parallel execution for the GML-FM workspace: a persistent
-//! [scoped thread pool](pool::ThreadPool), data-parallel helpers over
-//! slices and index ranges, and the [`hogwild::RacySlice`] cell that
-//! powers the trainers' opt-in Hogwild! epoch mode.
+//! [scoped thread pool](pool::ThreadPool) and data-parallel helpers over
+//! slices and index ranges.
 //!
 //! The vendored dependency set has no rayon, so this crate provides the
-//! minimal primitives the serving/eval/training hot paths need:
+//! minimal primitives the serving/eval hot paths need:
 //!
 //! * [`par_map`] / [`par_chunks`] — order-preserving maps whose merged
 //!   output is **bit-identical** to the serial evaluation for pure
@@ -17,29 +16,23 @@
 //!   contiguous blocks (one per requested thread) and concatenates the
 //!   per-block outputs in input order. Use it when each worker wants its
 //!   own scratch state (e.g. a `TopNRanker` per block of users).
-//! * [`par_map_reduce`] — indexed map-reduce; partial results are
-//!   reduced in block order. Deterministic for a fixed [`Parallelism`],
-//!   but floating-point reductions re-associate across thread counts —
-//!   prefer the map helpers when bit-stability across counts matters.
 //!
-//! How many threads run is a per-call [`Parallelism`] value, defaulting
-//! to [`Parallelism::auto`]: the `GMLFM_THREADS` environment variable
-//! when set, otherwise [`std::thread::available_parallelism`]. Passing
-//! [`Parallelism::serial`] (or any count of 1) makes that call run
-//! inline on the calling thread without touching the pool. Setting
-//! `GMLFM_THREADS=1` serialises every *defaulted* call the same way and
-//! shrinks the global pool to one worker — but a caller that passes an
-//! explicit `Parallelism::threads(n > 1)` still partitions its work and
-//! dispatches to the (single-worker, hence sequentially draining) pool;
-//! the env var changes defaults, it does not override explicit
-//! requests. Results are unaffected either way: the order-preserving
-//! helpers are bit-identical at every thread count.
+//! How many threads a call uses is a [`Parallelism`] value that the
+//! serving and evaluation layers pick themselves — callers of the
+//! request APIs cannot set it. The process-wide control is
+//! [`Parallelism::auto`]: the `GMLFM_THREADS` environment variable when
+//! set, otherwise [`std::thread::available_parallelism`]. It sizes the
+//! global pool and every standalone request's fan-out; `GMLFM_THREADS=1`
+//! runs all of them inline on the calling thread. Passing
+//! [`Parallelism::serial`] (or any count of 1) makes a call run inline
+//! without touching the pool; an explicit `Parallelism::threads(n > 1)`
+//! (the parity tests' handle) still partitions its work and dispatches
+//! to the pool, whatever its size. Results are unaffected either way:
+//! the order-preserving helpers are bit-identical at every thread count.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod hogwild;
 pub mod pool;
 
-pub use hogwild::RacySlice;
 pub use pool::{Scope, ThreadPool};
 
 use std::num::NonZeroUsize;
@@ -90,8 +83,8 @@ impl Parallelism {
     }
 
     /// The single-threaded escape hatch: helpers run inline, no pool.
-    pub fn serial() -> Self {
-        Self::threads(1)
+    pub const fn serial() -> Self {
+        Self(NonZeroUsize::MIN)
     }
 
     /// The requested thread count.
@@ -222,45 +215,6 @@ pub fn par_blocks<R: Send>(par: Parallelism, n: usize, f: impl Fn(Range<usize>) 
     outs.into_iter().flatten().collect()
 }
 
-/// Indexed map-reduce over `0..n`: each block folds `map(i)` with
-/// `reduce`, and the per-block partials are reduced in block order.
-/// Returns `None` for `n == 0`.
-///
-/// Deterministic for a fixed [`Parallelism`]; across *different* thread
-/// counts a floating-point `reduce` re-associates, so pin the thread
-/// count (or use [`par_map`]) where bit-stability matters.
-pub fn par_map_reduce<A: Send>(
-    par: Parallelism,
-    n: usize,
-    map: impl Fn(usize) -> A + Sync,
-    reduce: impl Fn(A, A) -> A + Sync,
-) -> Option<A> {
-    let fold_range = |range: Range<usize>| {
-        let mut acc: Option<A> = None;
-        for i in range {
-            let v = map(i);
-            acc = Some(match acc {
-                Some(a) => reduce(a, v),
-                None => v,
-            });
-        }
-        acc
-    };
-    if par.is_serial() || n < 2 {
-        return fold_range(0..n);
-    }
-    let blocks = block_ranges(n, par.get());
-    let mut outs: Vec<Option<A>> = Vec::new();
-    outs.resize_with(blocks.len(), || None);
-    let fold_range = &fold_range;
-    global().scoped(|s| {
-        for (range, out) in blocks.into_iter().zip(outs.iter_mut()) {
-            s.spawn(move || *out = fold_range(range));
-        }
-    });
-    outs.into_iter().flatten().reduce(reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,15 +263,6 @@ mod tests {
             let got = par_blocks(Parallelism::threads(t), 100, |range| range.collect());
             let want: Vec<usize> = (0..100).collect();
             assert_eq!(got, want, "threads={t}");
-        }
-    }
-
-    #[test]
-    fn par_map_reduce_sums_and_handles_empty() {
-        assert_eq!(par_map_reduce(Parallelism::threads(4), 0, |i| i, |a, b| a + b), None);
-        for t in [1usize, 2, 5] {
-            let got = par_map_reduce(Parallelism::threads(t), 101, |i| i as u64, |a, b| a + b);
-            assert_eq!(got, Some(5050), "threads={t}");
         }
     }
 

@@ -15,19 +15,13 @@ use gmlfm_data::Instance;
 use gmlfm_par::Parallelism;
 use std::num::NonZeroUsize;
 
-/// Scores `instances` in chunks of `chunk_size`, in order, on the
-/// calling thread. The chunk size is a [`NonZeroUsize`], matching
-/// [`gmlfm_train::GraphModel::predict_chunked`], so an empty chunk is
-/// unrepresentable rather than a runtime panic.
-pub fn score_chunked(model: &FrozenModel, instances: &[Instance], chunk_size: NonZeroUsize) -> Vec<f64> {
-    score_chunked_par(model, instances, chunk_size, Parallelism::serial())
-}
-
-/// [`score_chunked`] with the chunks partitioned across `par` workers of
-/// the global [`gmlfm_par`] pool. Outputs are merged in input order and
-/// are bit-identical to the serial evaluation for every thread count;
-/// `Parallelism::serial()` (or `GMLFM_THREADS=1`) never touches the
-/// pool.
+/// Scores `instances` in chunks of `chunk_size`, partitioned across
+/// `par` workers of the global [`gmlfm_par`] pool. Outputs are merged in
+/// input order and are bit-identical to the serial chunk loop for every
+/// thread count; `Parallelism::serial()` (or `GMLFM_THREADS=1`) runs on
+/// the calling thread and never touches the pool. The chunk size is a
+/// [`NonZeroUsize`], matching [`gmlfm_train::GraphModel::predict_chunked`],
+/// so an empty chunk is unrepresentable rather than a runtime panic.
 pub fn score_chunked_par(
     model: &FrozenModel,
     instances: &[Instance],
@@ -58,10 +52,11 @@ mod tests {
     #[test]
     fn chunking_is_invisible_in_the_output() {
         let (model, insts) = model_and_instances();
-        let whole = score_chunked(&model, &insts, NonZeroUsize::new(usize::MAX).unwrap());
+        let serial = Parallelism::serial();
+        let whole = score_chunked_par(&model, &insts, NonZeroUsize::new(usize::MAX).unwrap(), serial);
         for chunk_size in [1, 2, 7, 37, 64] {
             let chunk_size = NonZeroUsize::new(chunk_size).unwrap();
-            assert_eq!(score_chunked(&model, &insts, chunk_size), whole, "chunk {chunk_size}");
+            assert_eq!(score_chunked_par(&model, &insts, chunk_size, serial), whole, "chunk {chunk_size}");
         }
     }
 
@@ -69,7 +64,7 @@ mod tests {
     fn parallel_scoring_is_bit_identical_to_serial() {
         let (model, insts) = model_and_instances();
         let chunk = NonZeroUsize::new(5).unwrap();
-        let serial = score_chunked(&model, &insts, chunk);
+        let serial = score_chunked_par(&model, &insts, chunk, Parallelism::serial());
         for threads in [1usize, 2, 3, 5] {
             let par = score_chunked_par(&model, &insts, chunk, Parallelism::threads(threads));
             assert_eq!(par, serial, "threads {threads}");

@@ -46,7 +46,7 @@ pub mod kernel;
 pub mod rank;
 pub mod topn;
 
-pub use batch::{score_chunked, score_chunked_par};
+pub use batch::score_chunked_par;
 pub use freeze::Freeze;
 pub use frozen::{FrozenModel, HatQ, SecondOrder};
 pub use index::{ItemFeatureSource, IvfBuildOptions, IvfIndex, RetrievalStrategy};

@@ -19,6 +19,19 @@ use gmlfm_serve::{
 use std::borrow::Cow;
 use std::cell::RefCell;
 
+/// Worker count of one standalone request: the process setting,
+/// [`Parallelism::auto`] (`GMLFM_THREADS`, else the core count).
+/// Requests carry no thread count of their own — the server sees how
+/// much work a request is, and this is the one place that sizes it.
+pub fn standalone_par() -> Parallelism {
+    Parallelism::auto()
+}
+
+/// Worker count of a request answered inside a fan-out — a batch's
+/// sub-requests, the leave-one-out protocol's cases: serial, because the
+/// fan-out already spreads the work across the pool.
+pub const NESTED_PAR: Parallelism = Parallelism::serial();
+
 /// What executes a validated request: one score per feature vector,
 /// catalogue candidate scoring for the evaluation protocols, and
 /// bounded-heap top-N selection for ranking requests.
@@ -38,8 +51,8 @@ pub trait ScoringBackend {
     ///
     /// The template is the validation evidence: it only exists for an
     /// in-range user, so implementations never re-check the user id.
-    /// Candidates come out of [`resolve_candidates`] against the same
-    /// catalog, so their item-table rows are in range by construction.
+    /// Candidates are validated against the same catalog before they get
+    /// here, so their item-table rows are in range by construction.
     fn candidate_scores(
         &self,
         catalog: &Catalog,
@@ -348,42 +361,23 @@ fn validate_topn<'c>(catalog: &'c Catalog, req: &TopNRequest) -> Result<&'c [u32
 }
 
 /// Fills `out` with the surviving candidates of a *validated* request:
-/// the requested set (or the whole catalogue) minus the explicit
-/// exclusions and — unless opted out — the user's training-time seen
-/// items plus any `live` overlay items (interactions fed since the
-/// snapshot was published; sorted ascending like a seen list). Order of
-/// the surviving candidates is preserved.
-fn fill_candidates(
-    catalog: &Catalog,
-    seen: Option<&SeenItems>,
-    live: &[u32],
-    req: &TopNRequest,
-    out: &mut Vec<u32>,
-) {
+/// the requested set (or the whole catalogue) minus `excluded`, the skip
+/// set [`fill_excluded`] built for the same request. Order of the
+/// surviving candidates is preserved.
+fn fill_candidates(catalog: &Catalog, excluded: &[u32], req: &TopNRequest, out: &mut Vec<u32>) {
     out.clear();
-    let seen_items: &[u32] = match (req.exclude_seen, seen) {
-        (true, Some(seen)) => seen.items(req.user),
-        _ => &[],
-    };
-    let live: &[u32] = if req.exclude_seen { live } else { &[] };
-    // Explicit exclusion lists are tiny in practice; the seen and live
-    // lists are sorted, so membership there is a binary search.
-    let keep = |item: u32| {
-        !req.exclude.contains(&item)
-            && seen_items.binary_search(&item).is_err()
-            && live.binary_search(&item).is_err()
-    };
+    let keep = |item: &u32| excluded.binary_search(item).is_err();
     match &req.candidates {
-        Some(candidates) => out.extend(candidates.iter().copied().filter(|&i| keep(i))),
-        None => out.extend((0..catalog.n_items() as u32).filter(|&i| keep(i))),
+        Some(candidates) => out.extend(candidates.iter().copied().filter(keep)),
+        None => out.extend((0..catalog.n_items() as u32).filter(keep)),
     }
 }
 
 /// Fills `out` with the sorted, deduplicated union of the request's
-/// explicit exclusions, the user's seen items, and the `live` overlay —
-/// the skip set the indexed retrieval path probes against (equivalent,
-/// item for item, to the filtering of [`fill_candidates`] on a
-/// whole-catalogue request).
+/// explicit exclusions and — unless opted out — the user's training-time
+/// seen items plus the `live` overlay items (interactions fed since the
+/// snapshot was published): the one skip set both retrieval paths filter
+/// through, by binary search.
 fn fill_excluded(seen: Option<&SeenItems>, live: &[u32], req: &TopNRequest, out: &mut Vec<u32>) {
     out.clear();
     if req.exclude_seen {
@@ -397,51 +391,28 @@ fn fill_excluded(seen: Option<&SeenItems>, live: &[u32], req: &TopNRequest, out:
     out.dedup();
 }
 
-/// Validates a [`TopNRequest`] and resolves the candidate list: the
-/// requested set (or the whole catalogue) minus the explicit exclusions
-/// and — unless opted out — the user's training-time seen items. Order
-/// of the surviving candidates is preserved.
-pub fn resolve_candidates(
-    catalog: &Catalog,
-    seen: Option<&SeenItems>,
-    req: &TopNRequest,
-) -> Result<Vec<u32>, RequestError> {
-    let _template = validate_topn(catalog, req)?;
-    let mut out = Vec::new();
-    fill_candidates(catalog, seen, &[], req, &mut out);
-    Ok(out)
-}
-
 /// Validates and runs a [`TopNRequest`] through `backend`, returning
 /// `(item, score)` pairs **in candidate order** (no sort, `n` ignored) —
-/// the shape the leave-one-out evaluation protocols consume.
-pub fn execute_candidate_scores<B: ScoringBackend + ?Sized>(
-    backend: &B,
-    catalog: Option<&Catalog>,
-    seen: Option<&SeenItems>,
-    req: &TopNRequest,
-    default_par: Parallelism,
-) -> Result<Vec<(u32, f64)>, RequestError> {
-    execute_candidate_scores_live(backend, catalog, seen, &[], req, default_par)
-}
-
-/// [`execute_candidate_scores`] with a live seen overlay: `live` is the
-/// user's sorted overlay items (interactions fed since the snapshot was
-/// published), excluded under the same `exclude_seen` semantics as the
-/// snapshot seen sets. The [`crate::ModelServer`] read paths route here.
+/// the shape the leave-one-out evaluation protocols consume. `live` is
+/// the user's sorted overlay items (interactions fed since the snapshot
+/// was published; empty for none), excluded under the same
+/// `exclude_seen` semantics as the snapshot seen sets. `par` is the
+/// worker count: [`standalone_par`] for a request of its own,
+/// [`NESTED_PAR`] inside a fan-out.
 pub fn execute_candidate_scores_live<B: ScoringBackend + ?Sized>(
     backend: &B,
     catalog: Option<&Catalog>,
     seen: Option<&SeenItems>,
     live: &[u32],
     req: &TopNRequest,
-    default_par: Parallelism,
+    par: Parallelism,
 ) -> Result<Vec<(u32, f64)>, RequestError> {
     let catalog = catalog.ok_or(RequestError::MissingCatalog)?;
     let template = validate_topn(catalog, req)?;
+    let mut excluded = Vec::new();
+    fill_excluded(seen, live, req, &mut excluded);
     let mut candidates = Vec::new();
-    fill_candidates(catalog, seen, live, req, &mut candidates);
-    let par = req.par.unwrap_or(default_par);
+    fill_candidates(catalog, &excluded, req, &mut candidates);
     let scores = backend.candidate_scores(catalog, template, &candidates, par);
     Ok(candidates.into_iter().zip(scores).collect())
 }
@@ -473,39 +444,28 @@ thread_local! {
 /// snapshots — approximate candidate set, exact scores); everything
 /// else, and any request the index declines, goes through
 /// [`ScoringBackend::select_top_n`] — sharded bounded heaps for frozen
-/// snapshots — never a full sort. Exclusion filtering (explicit lists
-/// and seen items) runs **before** selection on both paths, so excluded
-/// items never occupy result slots. `req.n = 0` yields an empty
-/// ranking; `req.n` beyond the surviving candidate count yields every
-/// survivor.
-pub fn execute_topn<B: ScoringBackend + ?Sized>(
-    backend: &B,
-    catalog: Option<&Catalog>,
-    seen: Option<&SeenItems>,
-    req: &TopNRequest,
-    default_par: Parallelism,
-) -> Result<Vec<(u32, f64)>, RequestError> {
-    execute_topn_live(backend, catalog, seen, &[], req, default_par)
-}
-
-/// [`execute_topn`] with a live seen overlay: `live` is the user's
-/// sorted overlay items (interactions fed since the snapshot was
-/// published), excluded — on both the indexed and the exact path —
-/// under the same `exclude_seen` semantics as the snapshot seen sets.
-/// This is how a fed event leaves a user's recommendations *before* any
-/// retrain publishes.
+/// snapshots — never a full sort. Exclusion filtering (explicit lists,
+/// seen items and the `live` overlay — the user's sorted items fed since
+/// the snapshot was published, empty for none) runs **before** selection
+/// on both paths, so excluded items never occupy result slots; this is
+/// how a fed event leaves a user's recommendations *before* any retrain
+/// publishes. `req.n = 0` yields an empty ranking; `req.n` beyond the
+/// surviving candidate count yields every survivor. `par` is the worker
+/// count, as for [`execute_candidate_scores_live`]; the ranking is
+/// bit-identical at every count.
 pub fn execute_topn_live<B: ScoringBackend + ?Sized>(
     backend: &B,
     catalog: Option<&Catalog>,
     seen: Option<&SeenItems>,
     live: &[u32],
     req: &TopNRequest,
-    default_par: Parallelism,
+    par: Parallelism,
 ) -> Result<Vec<(u32, f64)>, RequestError> {
     let catalog = catalog.ok_or(RequestError::MissingCatalog)?;
     let template = validate_topn(catalog, req)?;
-    let par = req.par.unwrap_or(default_par);
     let mut scratch = TOPN_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+
+    fill_excluded(seen, live, req, &mut scratch.excluded);
 
     // Indexed retrieval: only whole-catalogue requests are eligible —
     // an explicit candidate list already *is* a (usually small)
@@ -516,7 +476,6 @@ pub fn execute_topn_live<B: ScoringBackend + ?Sized>(
             Some(RetrievalStrategy::Ivf { nprobe }) => nprobe,
             _ => None,
         };
-        fill_excluded(seen, live, req, &mut scratch.excluded);
         backend.select_top_n_indexed(catalog, template, req.n, nprobe, &scratch.excluded, par)
     } else {
         None
@@ -524,7 +483,7 @@ pub fn execute_topn_live<B: ScoringBackend + ?Sized>(
     let value = match indexed {
         Some(value) => value,
         None => {
-            fill_candidates(catalog, seen, live, req, &mut scratch.candidates);
+            fill_candidates(catalog, &scratch.excluded, req, &mut scratch.candidates);
             backend.select_top_n(catalog, template, &scratch.candidates, req.n, par)
         }
     };
@@ -533,23 +492,12 @@ pub fn execute_topn_live<B: ScoringBackend + ?Sized>(
     Ok(value)
 }
 
-/// Fans a [`BatchRequest`] across the pool. Each sub-request validates
-/// and fails independently; top-n sub-requests default to serial inside
-/// the batch (the batch itself is the fan-out) unless they carry an
-/// explicit [`TopNRequest::parallelism`].
-pub fn execute_batch<B: ScoringBackend + Sync + ?Sized>(
-    backend: &B,
-    schema: &Schema,
-    catalog: Option<&Catalog>,
-    seen: Option<&SeenItems>,
-    req: &BatchRequest,
-) -> Vec<Result<Reply, RequestError>> {
-    execute_batch_live(backend, schema, catalog, seen, None, req)
-}
-
-/// [`execute_batch`] with a live seen overlay: `live` is a point-in-time
-/// copy of the server's overlay table, consulted per sub-request user
-/// under the same `exclude_seen` semantics as the snapshot seen sets.
+/// Fans a [`BatchRequest`] across the pool, [`standalone_par`] workers
+/// wide. Each sub-request validates and fails independently and runs
+/// with [`NESTED_PAR`] (the batch itself is the fan-out). `live` is a
+/// point-in-time copy of the server's overlay table (`None` for none),
+/// consulted per sub-request user under the same `exclude_seen`
+/// semantics as the snapshot seen sets.
 pub fn execute_batch_live<B: ScoringBackend + Sync + ?Sized>(
     backend: &B,
     schema: &Schema,
@@ -558,12 +506,11 @@ pub fn execute_batch_live<B: ScoringBackend + Sync + ?Sized>(
     live: Option<&SeenItems>,
     req: &BatchRequest,
 ) -> Vec<Result<Reply, RequestError>> {
-    let par = req.par.unwrap_or_else(Parallelism::auto);
-    gmlfm_par::par_map(par, &req.requests, |request| match request {
+    gmlfm_par::par_map(standalone_par(), &req.requests, |request| match request {
         Request::Score(score) => execute_score(backend, schema, catalog, score).map(Reply::Score),
         Request::TopN(topn) => {
             let user_live = live.map(|l| l.items(topn.user)).unwrap_or(&[]);
-            execute_topn_live(backend, catalog, seen, user_live, topn, Parallelism::serial()).map(Reply::TopN)
+            execute_topn_live(backend, catalog, seen, user_live, topn, NESTED_PAR).map(Reply::TopN)
         }
     })
 }

@@ -11,9 +11,10 @@
 //! * **[`protocol`]** — [`ScoreRequest`] (by instance, by raw feature
 //!   indices, by catalog `(user, item)` pair, or cold-start by item +
 //!   named side features), [`TopNRequest`] (candidate subsets, explicit
-//!   exclusions, default seen-item filtering, per-request
-//!   [`gmlfm_par::Parallelism`]), and [`BatchRequest`] fanning many
-//!   requests across the pool. Every request is validated against the
+//!   exclusions, default seen-item filtering), and [`BatchRequest`]
+//!   fanning many requests across the pool. Requests carry no thread
+//!   count: [`exec::standalone_par`] (`GMLFM_THREADS`) sizes every
+//!   fan-out. Every request is validated against the
 //!   snapshot's [`gmlfm_data::Schema`] and [`Catalog`] into a typed
 //!   [`RequestError`] — out-of-range indices and unknown ids are
 //!   rejected, never scored as garbage and never a panic. Ranking

@@ -9,7 +9,6 @@
 //! with hot-swaps.
 
 use gmlfm_data::Instance;
-use gmlfm_par::Parallelism;
 use gmlfm_serve::RetrievalStrategy;
 
 use crate::error::RequestError;
@@ -107,9 +106,6 @@ pub struct TopNRequest {
     /// Whether to exclude the user's training-time seen items
     /// (default `true`; a snapshot without seen sets excludes nothing).
     pub exclude_seen: bool,
-    /// Per-request worker count; `None` uses the server's default
-    /// ([`Parallelism::auto`] standalone, serial inside a batch).
-    pub par: Option<Parallelism>,
     /// Candidate-selection strategy; `None` lets the snapshot decide
     /// (IVF when it carries an index and the request is eligible,
     /// exact otherwise). Scores are exact either way — see
@@ -121,7 +117,7 @@ pub struct TopNRequest {
 impl TopNRequest {
     /// A whole-catalogue, exclude-seen request for `user`'s top `n`.
     pub fn new(user: u32, n: usize) -> Self {
-        Self { user, n, candidates: None, exclude: Vec::new(), exclude_seen: true, par: None, strategy: None }
+        Self { user, n, candidates: None, exclude: Vec::new(), exclude_seen: true, strategy: None }
     }
 
     /// Restricts ranking to this candidate set (kept in the given order
@@ -140,12 +136,6 @@ impl TopNRequest {
     /// Opts out of the default seen-item exclusion.
     pub fn include_seen(mut self) -> Self {
         self.exclude_seen = false;
-        self
-    }
-
-    /// Sets an explicit per-request worker count.
-    pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.par = Some(par);
         self
     }
 
@@ -182,26 +172,18 @@ pub enum Reply {
 /// is validated independently: one malformed request yields its own
 /// [`crate::RequestError`] slot without failing the batch. All replies
 /// share the single generation stamped on the enclosing [`Response`].
+/// The server sizes the fan-out ([`crate::exec::standalone_par`]); top-n
+/// sub-requests run serially inside it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchRequest {
     /// The sub-requests, answered in order.
     pub requests: Vec<Request>,
-    /// Worker count for the fan-out; `None` uses [`Parallelism::auto`].
-    /// Top-n sub-requests run serially inside the batch unless they set
-    /// their own [`TopNRequest::parallelism`].
-    pub par: Option<Parallelism>,
 }
 
 impl BatchRequest {
-    /// A batch over the given requests with the default fan-out.
+    /// A batch over the given requests.
     pub fn new(requests: Vec<Request>) -> Self {
-        Self { requests, par: None }
-    }
-
-    /// Sets an explicit fan-out worker count.
-    pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.par = Some(par);
-        self
+        Self { requests }
     }
 }
 

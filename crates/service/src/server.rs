@@ -34,7 +34,6 @@ use crate::error::RequestError;
 use crate::exec::{self, IndexedModel};
 use crate::protocol::{BatchRequest, Reply, Response, ScoreRequest, TopNRequest};
 use gmlfm_data::Schema;
-use gmlfm_par::Parallelism;
 use gmlfm_serve::{FrozenModel, IvfIndex};
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};
@@ -303,7 +302,7 @@ impl ModelServer {
             state.snap.seen.as_ref(),
             &live,
             req,
-            Parallelism::auto(),
+            exec::standalone_par(),
         )?;
         Ok(Response { generation: state.generation, value })
     }
@@ -320,7 +319,7 @@ impl ModelServer {
             state.snap.seen.as_ref(),
             &live,
             req,
-            Parallelism::auto(),
+            exec::standalone_par(),
         )?;
         Ok(Response { generation: state.generation, value })
     }

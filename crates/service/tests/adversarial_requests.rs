@@ -105,14 +105,13 @@ fn topn_request() -> impl Strategy<Value = TopNRequest> {
     let n = prop_oneof![Just(0usize), 1usize..6, Just(N_ITEMS), Just(10_000usize)];
     let candidates = proptest::option::of(proptest::collection::vec(0u32..14, 0..40));
     let exclude = proptest::collection::vec(0u32..14, 0..6);
-    (0u32..9, n, candidates, exclude, any::<bool>(), 1usize..4).prop_map(
-        |(user, n, candidates, exclude, exclude_seen, threads)| TopNRequest {
+    (0u32..9, n, candidates, exclude, any::<bool>()).prop_map(
+        |(user, n, candidates, exclude, exclude_seen)| TopNRequest {
             user,
             n,
             candidates,
             exclude,
             exclude_seen,
-            par: Some(Parallelism::threads(threads)),
             strategy: None,
         },
     )
@@ -186,7 +185,10 @@ proptest! {
     /// Every top-n payload is either a typed error or a complete,
     /// reference-identical ranking — never partial, never panicking.
     #[test]
-    fn arbitrary_topn_requests_never_panic_and_never_return_partial_results(req in topn_request()) {
+    fn arbitrary_topn_requests_never_panic_and_never_return_partial_results(
+        req in topn_request(),
+        threads in 1usize..4,
+    ) {
         let server = fixture();
         let result = server.top_n(&req);
         if topn_should_fail(&req) {
@@ -210,16 +212,27 @@ proptest! {
         }
         // Bit-equal to the full-sort reference over the same request.
         let (_, snap) = server.snapshot();
-        let mut reference = exec::execute_candidate_scores(
+        let mut reference = exec::execute_candidate_scores_live(
             &snap.frozen,
             snap.catalog.as_ref(),
             snap.seen.as_ref(),
+            &[],
             &req,
             Parallelism::serial(),
         ).expect("same validation");
         reference.sort_by(rank_cmp);
         reference.truncate(req.n);
-        prop_assert_eq!(got, reference, "heap path drifted from the full-sort reference");
+        prop_assert_eq!(&got, &reference, "heap path drifted from the full-sort reference");
+        // And at an explicit worker count: what the server runs, sharded.
+        let at_threads = exec::execute_topn_live(
+            &snap.frozen,
+            snap.catalog.as_ref(),
+            snap.seen.as_ref(),
+            &[],
+            &req,
+            Parallelism::threads(threads),
+        ).expect("same validation");
+        prop_assert_eq!(&at_threads, &reference, "heap path drifted at {} threads", threads);
     }
 
     /// A batch never fails as a whole: each sub-request succeeds or

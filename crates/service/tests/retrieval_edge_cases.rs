@@ -1,18 +1,20 @@
 //! Edge cases of the exclusion ↔ retrieval interaction: every scenario
 //! runs through both the sharded bounded-heap path (`ModelServer::top_n`
-//! / `exec::execute_topn`) and the old full-sort path (re-implemented
-//! from `exec::execute_candidate_scores` + sort + truncate) and must
+//! / `exec::execute_topn_live`) and the old full-sort path (re-implemented
+//! from `exec::execute_candidate_scores_live` + sort + truncate) and must
 //! agree item-for-item, scores bitwise.
 //!
-//! Filtering runs **pre-heap** ([`exec::resolve_candidates`] before
+//! Filtering runs **pre-heap** (the candidate list is resolved before
 //! selection), so excluded and seen items never occupy heap slots —
 //! which is what makes "all candidates excluded" an empty result rather
 //! than a padded or partial one.
 
 use gmlfm_data::{FieldKind, Schema};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{rank_cmp, FrozenModel};
-use gmlfm_service::{exec, Catalog, ModelServer, ModelSnapshot, SeenItems, TopNRequest};
+use gmlfm_serve::{rank_cmp, FrozenModel, IvfBuildOptions, IvfIndex, RetrievalStrategy};
+use gmlfm_service::{
+    exec, Catalog, IndexedModel, ModelServer, ModelSnapshot, ScoringBackend, SeenItems, TopNRequest,
+};
 
 const N_USERS: usize = 5;
 const N_ITEMS: usize = 20;
@@ -46,10 +48,11 @@ fn seen_fixture() -> SeenItems {
 /// order, truncated.
 fn full_sort_reference(server: &ModelServer, req: &TopNRequest) -> Vec<(u32, f64)> {
     let (_, snap) = server.snapshot();
-    let mut scored = exec::execute_candidate_scores(
+    let mut scored = exec::execute_candidate_scores_live(
         &snap.frozen,
         snap.catalog.as_ref(),
         snap.seen.as_ref(),
+        &[],
         req,
         Parallelism::serial(),
     )
@@ -59,17 +62,30 @@ fn full_sort_reference(server: &ModelServer, req: &TopNRequest) -> Vec<(u32, f64
     scored
 }
 
+/// `got` equals `reference` item for item, scores bitwise.
+fn assert_same_ranking(got: &[(u32, f64)], reference: &[(u32, f64)], what: &str) {
+    assert_eq!(got.len(), reference.len(), "{what}");
+    for (g, r) in got.iter().zip(reference) {
+        assert_eq!(g.0, r.0, "item order drifted: {what}");
+        assert_eq!(g.1.to_bits(), r.1.to_bits(), "score drifted: {what}");
+    }
+}
+
+/// `server`'s request path at an explicit worker count.
+fn top_n_at(server: &ModelServer, req: &TopNRequest, threads: usize) -> Vec<(u32, f64)> {
+    let (_, snap) = server.snapshot();
+    let backend = IndexedModel { frozen: &snap.frozen, index: snap.index.as_ref() };
+    let par = Parallelism::threads(threads);
+    exec::execute_topn_live(&backend, snap.catalog.as_ref(), snap.seen.as_ref(), &[], req, par)
+        .expect("well-formed request")
+}
+
 fn assert_paths_agree(server: &ModelServer, req: &TopNRequest) -> Vec<(u32, f64)> {
     let reference = full_sort_reference(server, req);
+    let served = server.top_n(req).expect("well-formed request").value;
+    assert_same_ranking(&served, &reference, "server");
     for threads in [1usize, 2, 5] {
-        let mut req = req.clone();
-        req.par = Some(Parallelism::threads(threads));
-        let heap = server.top_n(&req).expect("well-formed request").value;
-        assert_eq!(heap.len(), reference.len(), "threads={threads}");
-        for (h, r) in heap.iter().zip(&reference) {
-            assert_eq!(h.0, r.0, "item order drifted at threads={threads}");
-            assert_eq!(h.1.to_bits(), r.1.to_bits(), "score drifted at threads={threads}");
-        }
+        assert_same_ranking(&top_n_at(server, req, threads), &reference, &format!("threads={threads}"));
     }
     reference
 }
@@ -135,4 +151,73 @@ fn n_zero_and_n_beyond_catalog_are_complete_not_partial() {
     assert!(empty.is_empty(), "n = 0 is a well-formed empty ranking");
     let all = assert_paths_agree(&server, &TopNRequest::new(2, N_ITEMS + 100));
     assert_eq!(all.len(), N_ITEMS, "n beyond the catalogue returns every candidate");
+}
+
+/// A large exclusion list — unsorted, with duplicates, covering about
+/// half the catalogue — on an indexed snapshot whose user also has seen
+/// items. The exact path and the full-probe IVF path must both agree
+/// item-for-item with the full-sort reference over the survivors,
+/// filtered here independently of the serving code.
+#[test]
+fn large_unsorted_duplicate_exclusions_agree_on_exact_and_full_probe_paths() {
+    const ITEMS: usize = 400;
+    let user = 2u32;
+    let frozen = FrozenModel::synthetic_metric(N_USERS + ITEMS, 4, 43);
+    let schema = Schema::from_specs(&[("user", N_USERS, FieldKind::User), ("item", ITEMS, FieldKind::Item)]);
+    let catalog = Catalog::new(
+        vec![1],
+        (0..N_USERS as u32).map(|u| vec![u, N_USERS as u32]).collect(),
+        (0..ITEMS as u32).map(|i| vec![N_USERS as u32 + i]).collect(),
+    );
+    let opts = IvfBuildOptions { min_candidates: 1, ..IvfBuildOptions::default() };
+    let index = IvfIndex::build(&frozen, &catalog, &opts, Parallelism::serial()).expect("metric model");
+    let full_probe = index.n_clusters();
+    let mut per_user = vec![Vec::new(); N_USERS];
+    per_user[user as usize] = (0..ITEMS as u32).step_by(7).collect();
+    let seen = SeenItems::new(per_user);
+    let server = ModelServer::new(ModelSnapshot {
+        schema,
+        frozen,
+        catalog: Some(catalog),
+        seen: Some(seen.clone()),
+        index: Some(index),
+    })
+    .expect("consistent snapshot");
+
+    // Items with i % 4 ∈ {1, 2} (half the catalogue) in a scrambled
+    // order, then every third of them again.
+    let half: Vec<u32> = (0..ITEMS as u32)
+        .map(|i| (i * 37) % ITEMS as u32)
+        .filter(|i| i % 4 == 1 || i % 4 == 2)
+        .collect();
+    assert!(!half.windows(2).all(|w| w[0] <= w[1]), "the list is unsorted");
+    let mut exclude = half.clone();
+    exclude.extend(half.iter().step_by(3));
+    let survivors: Vec<u32> = (0..ITEMS as u32)
+        .filter(|&i| !half.contains(&i) && !seen.contains(user, i))
+        .collect();
+    assert!(survivors.len() > ITEMS / 3, "about half the catalogue survives");
+
+    let n = 10;
+    let reference =
+        full_sort_reference(&server, &TopNRequest::new(user, n).candidates(survivors).include_seen());
+    assert_eq!(reference.len(), n);
+    let req = TopNRequest::new(user, n).exclude(exclude);
+    for strategy in [RetrievalStrategy::Exact, RetrievalStrategy::Ivf { nprobe: Some(full_probe) }] {
+        let got = assert_paths_agree(&server, &req.clone().strategy(strategy));
+        assert_same_ranking(&got, &reference, &format!("{strategy:?}"));
+    }
+
+    // The full-probe request really takes the indexed path.
+    let (_, snap) = server.snapshot();
+    let backend = IndexedModel { frozen: &snap.frozen, index: snap.index.as_ref() };
+    let mut skip: Vec<u32> = half.iter().copied().chain(seen.items(user).iter().copied()).collect();
+    skip.sort_unstable();
+    skip.dedup();
+    let catalog = snap.catalog.as_ref().expect("catalog");
+    let template = catalog.template(user).expect("user in range");
+    let indexed = backend
+        .select_top_n_indexed(catalog, template, n, Some(full_probe), &skip, Parallelism::serial())
+        .expect("eligible for the index");
+    assert_same_ranking(&indexed, &reference, "indexed backend");
 }
